@@ -93,15 +93,16 @@ def _branch_and_bound(
         node_budget[0] -= 1
         if node_budget[0] < 0:
             raise NodeCapExceeded("branch-and-bound exceeded its node cap")
-        return solve_lp(problem, bounds_override=override)
+        res = solve_lp(problem, bounds_override=override)
+        return res.status, res.objective, res.x  # not the solver arrays the result carries
 
-    root = solve_node(base_override)
-    if root.status == "unbounded":
+    status, objective, x = solve_node(base_override)
+    if status == "unbounded":
         raise MintPlanError("the relaxation is unbounded; every column should have finite bounds")
-    if root.status != "optimal":
+    if status != "optimal":
         return None
 
-    heap = [(root.objective, 0, base_override, root.x)]
+    heap = [(objective, 0, base_override, x)]
     seq = 1
     best_x: np.ndarray | None = None
     best_obj = math.inf
@@ -119,13 +120,13 @@ def _branch_and_bound(
         for value in (0.0, 1.0):
             child = dict(override)
             child[col] = (value, value)
-            res = solve_node(child)
-            if res.status != "optimal":
+            status, objective, child_x = solve_node(child)
+            if status != "optimal":
                 continue
-            assert res.objective >= bound - 1e-6, "child bound fell below its parent"
-            if pruning and best_x is not None and res.objective >= best_obj - 1e-6:
+            assert objective >= bound - 1e-6, "child bound fell below its parent"
+            if pruning and best_x is not None and objective >= best_obj - 1e-6:
                 continue
-            heapq.heappush(heap, (res.objective, seq, child, res.x))
+            heapq.heappush(heap, (objective, seq, child, child_x))
             seq += 1
     return best_x
 
@@ -694,8 +695,12 @@ def exhaustive_objective(problem: StandardFormProblem) -> tuple[str, float]:
 
     Assignments switching two levels of the same ladder on in one
     quarter are skipped: the model's own choice rows make their LPs
-    infeasible, so they can never carry the optimum. Exponential in the
-    horizon; meant for validating the tree search on tiny instances.
+    infeasible, so they can never carry the optimum. Each LP is
+    reoptimized by dual simplex from the last optimal one, since
+    neighbouring assignments differ in a few bounds; a failed warm start
+    falls back to a cold solve.
+    Exponential in the horizon; meant for validating the tree search on
+    tiny instances.
     """
     families: dict = {}
     for col in problem.binaries:
@@ -708,14 +713,16 @@ def exhaustive_objective(problem: StandardFormProblem) -> tuple[str, float]:
 
     best_key = None
     best_objective = math.nan
+    last = None
     for combo in product(*options):
         override = {col: (0.0, 0.0) for col in problem.binaries}
         for col in combo:
             if col is not None:
                 override[col] = (1.0, 1.0)
-        res = solve_lp(problem, bounds_override=override)
+        res = solve_lp(problem, bounds_override=override, warm_start=last)
         if res.status != "optimal":
             continue
+        last = res
         cost = float(sum(problem.objective[col] * hi for col, (_, hi) in override.items()))
         k = cost - res.objective  # the LP part of the objective is -K
         if problem.mode == "combined":

@@ -23,9 +23,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -75,7 +76,7 @@ class LpFormatError(MintPlanError):
     """An LP text document is malformed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VariableIndex:
     """Position and meaning of one column.
 
@@ -112,7 +113,17 @@ def _variable_from_name(name: str, column: int) -> VariableIndex:
     return VariableIndex(kind=m.group(1), column=column, quarter=int(m.group(2)), index=int(m.group(3)))
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=8192)
+def _canonical(value):
+    """The first-seen copy of an immutable value that recurs unchanged in
+    every model ``build`` makes of one shape (row labels, all-unit
+    coefficient tuples), so that those models share one copy. That only
+    matters to a caller keeping many models alive, as ``perfbench/run.py``
+    keeps every pass's outputs."""
+    return value
+
+
+@dataclass(frozen=True, slots=True)
 class Row:
     """One linear constraint: ``sum(coeff * x[col]) relation rhs``.
 
@@ -190,8 +201,8 @@ class StandardFormProblem:
             raise ValueError(f"unknown mode {self.mode!r}")
 
     @cached_property
-    def _column_by_key(self) -> dict:
-        return {(v.kind, v.quarter, v.index): v.column for v in self.columns}
+    def _column_by_key(self) -> Mapping:
+        return _shared_layout(self.columns)[1]
 
     def column_index(self, kind: str, quarter: int | None = None, index: int | None = None) -> int:
         try:
@@ -226,6 +237,14 @@ class StandardFormProblem:
     @property
     def k_max(self) -> float:
         return self.upper[self.column_index("K")]
+
+
+@lru_cache(maxsize=64)
+def _shared_layout(columns: tuple[VariableIndex, ...]) -> tuple[tuple[VariableIndex, ...], Mapping]:
+    """The first-seen copy of a column layout, with its read-only
+    (kind, quarter, index) -> column map: every model of one shape has
+    the same columns, so they share one copy (see ``_canonical``)."""
+    return columns, MappingProxyType({(v.kind, v.quarter, v.index): v.column for v in columns})
 
 
 def _cost_gap(config: MintConfig, horizon: int, cap: int = 200_000) -> float | None:
@@ -318,13 +337,15 @@ def build(
     columns.append(VariableIndex(kind="K", column=col_k))
     columns.sort(key=lambda v: v.column)
 
-    objective = np.zeros(n_cols)
+    # lists rather than arrays, so the tuples stored below share a few
+    # float objects instead of holding a fresh float per column
+    objective = [0.0] * n_cols
     for t in range(T):
         for i in range(1, nc + 1):
-            objective[c(t, i)] = cfg.blanking_costs[i - 1]
-        objective[h(t)] = cfg.annealing_cost
+            objective[c(t, i)] = float(cfg.blanking_costs[i - 1])
+        objective[h(t)] = float(cfg.annealing_cost)
         for j in range(1, na + 1):
-            objective[a(t, j)] = cfg.striking_costs[j - 1]
+            objective[a(t, j)] = float(cfg.striking_costs[j - 1])
     objective[col_k] = -1.0
 
     eff = {
@@ -335,13 +356,18 @@ def build(
     def terms(pairs: Iterable[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
         kept = [(col, float(coeff)) for col, coeff in pairs if coeff != 0.0]
         kept.sort(key=lambda p: p[0])
+        if all(coeff in (1.0, -1.0) for _, coeff in kept):
+            return _canonical(tuple(kept))
         return tuple(kept)
+
+    def row(label: str, coeffs: tuple[tuple[int, float], ...], relation: str, rhs: float) -> Row:
+        return Row(label=_canonical(label), coeffs=coeffs, relation=relation, rhs=rhs)
 
     rows: list[Row] = []
     for t in range(T):
         yb = eff["annealing"][t]
         rows.append(
-            Row(
+            row(
                 label=f"annealing_capacity[{t}]",
                 coeffs=terms([(f(t, d), weights[d]) for d in range(D)] + [(h(t), -(yb[1] - yb[0]))]),
                 relation="<=",
@@ -351,7 +377,7 @@ def build(
     for t in range(T):
         zb = eff["striking"][t]
         rows.append(
-            Row(
+            row(
                 label=f"striking_capacity[{t}]",
                 coeffs=terms(
                     [(f(t, d), 1.0) for d in range(D)]
@@ -363,7 +389,7 @@ def build(
         )
     for t in range(T):
         rows.append(
-            Row(
+            row(
                 label=f"striking_level_choice[{t}]",
                 coeffs=terms([(a(t, j), 1.0) for j in range(1, na + 1)]),
                 relation="<=",
@@ -373,7 +399,7 @@ def build(
     for t in range(T):
         xb = eff["blanking"][t]
         rows.append(
-            Row(
+            row(
                 label=f"blanking_capacity[{t}]",
                 coeffs=terms(
                     [(f(t, d), rates[d]) for d in range(D)]
@@ -385,7 +411,7 @@ def build(
         )
     for t in range(T):
         rows.append(
-            Row(
+            row(
                 label=f"blanking_level_choice[{t}]",
                 coeffs=terms([(c(t, i), 1.0) for i in range(1, nc + 1)]),
                 relation="<=",
@@ -400,10 +426,10 @@ def build(
             else:
                 coeffs = terms([(e(t, d), 1.0), (e(t - 1, d), -1.0), (f(t, d), -1.0)])
                 rhs = float(-s.demand[t, d])
-            rows.append(Row(label=f"inventory_balance[{t},{d}]", coeffs=coeffs, relation="=", rhs=rhs))
+            rows.append(row(label=f"inventory_balance[{t},{d}]", coeffs=coeffs, relation="=", rhs=rhs))
     for d in range(D):
         rows.append(
-            Row(
+            row(
                 label=f"terminal_stock[{d}]",
                 coeffs=terms([(e(T - 1, d), 1.0), (col_k, -float(s.safety_min[d]))]),
                 relation=">=",
@@ -412,7 +438,7 @@ def build(
         )
     for t in range(T):
         rows.append(
-            Row(
+            row(
                 label=f"vault_capacity[{t}]",
                 coeffs=terms([(e(t, d), 1.0) for d in range(D)]),
                 relation="<=",
@@ -422,7 +448,7 @@ def build(
     for t in range(T):
         for d in range(D):
             rows.append(
-                Row(
+                row(
                     label=f"operating_floor[{t},{d}]",
                     coeffs=terms([(e(t, d), 1.0)]),
                     relation=">=",
@@ -437,7 +463,7 @@ def build(
             raise ValueError(f"injected constraint quarter {q} outside horizon {T}")
         if inj.kind == "force_base_striking":
             rows.append(
-                Row(
+                row(
                     label=inj.label,
                     coeffs=terms([(f(q, d), 1.0) for d in range(D)]),
                     relation="=",
@@ -446,7 +472,7 @@ def build(
             )
         elif inj.kind == "force_base_blanking":
             rows.append(
-                Row(
+                row(
                     label=inj.label,
                     coeffs=terms([(f(q, d), rates[d]) for d in range(D)]),
                     relation="=",
@@ -455,7 +481,7 @@ def build(
             )
         elif inj.kind == "forbid_extra_striking":
             rows.append(
-                Row(
+                row(
                     label=inj.label,
                     coeffs=terms([(a(q, j), 1.0) for j in range(1, na + 1)]),
                     relation="=",
@@ -464,7 +490,7 @@ def build(
             )
         elif inj.kind == "forbid_extra_blanking":
             rows.append(
-                Row(
+                row(
                     label=inj.label,
                     coeffs=terms([(c(q, i), 1.0) for i in range(1, nc + 1)]),
                     relation="=",
@@ -472,15 +498,15 @@ def build(
                 )
             )
         else:  # forbid_extra_annealing
-            rows.append(Row(label=inj.label, coeffs=terms([(h(q), 1.0)]), relation="=", rhs=0.0))
+            rows.append(row(label=inj.label, coeffs=terms([(h(q), 1.0)]), relation="=", rhs=0.0))
 
-    lower = np.zeros(n_cols)
-    upper = np.zeros(n_cols)
+    upper = [0.0] * n_cols
+    vault_cap = float(s.vault_cap)
     for t in range(T):
-        f_cap = eff["striking"][t][-1]
+        f_cap = float(eff["striking"][t][-1])
         for d in range(D):
             upper[f(t, d)] = f_cap
-            upper[e(t, d)] = s.vault_cap
+            upper[e(t, d)] = vault_cap
     binaries = []
     for t in range(T):
         for i in range(1, nc + 1):
@@ -490,14 +516,14 @@ def build(
             binaries.append(a(t, j))
     for col in binaries:
         upper[col] = 1.0
-    upper[col_k] = k_max
+    upper[col_k] = float(k_max)
 
     return StandardFormProblem(
-        columns=tuple(columns),
-        objective=tuple(float(v) for v in objective),
+        columns=_shared_layout(tuple(columns))[0],
+        objective=tuple(objective),
         rows=tuple(rows),
-        lower=tuple(float(v) for v in lower),
-        upper=tuple(float(v) for v in upper),
+        lower=(0.0,) * n_cols,
+        upper=tuple(upper),
         binaries=tuple(sorted(binaries)),
         mode=choose_mode(cfg, T, k_max),
         injected=injected,

@@ -359,7 +359,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _reject_constant(token: str):
-    raise ScenarioFormatError(f"non-finite number {token!r} is not allowed in a scenario file")
+    """``parse_constant`` hook for every mintplan JSON document."""
+    raise ScenarioFormatError(f"non-finite number {token!r} is not allowed in a mintplan file")
 
 
 def coin_specs_to_list(specs: Sequence[CoinSpec]) -> list[dict]:

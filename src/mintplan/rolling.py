@@ -37,6 +37,7 @@ from .model import (
     MintPlanError,
     Scenario,
     ScenarioFormatError,
+    _reject_constant,
     coin_specs_from_list,
     coin_specs_to_list,
     disruptions_from_list,
@@ -549,10 +550,6 @@ def generate_synthetic_scenario(
 # ---------------------------------------------------------------------------
 # simulation file format and report CSV
 # ---------------------------------------------------------------------------
-
-def _reject_constant(token: str):
-    raise ScenarioFormatError(f"non-finite number {token!r} is not allowed in a simulation file")
-
 
 def dump_simulation(
     history: Sequence[EpochInput],

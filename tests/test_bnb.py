@@ -1,7 +1,9 @@
 """Tree search against enumeration, and integral repair behavior."""
 
+import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from mintplan import (
     random_instance,
     solve_mip,
 )
+from mintplan import bnb
 
 
 def load_fixture(name: str):
@@ -244,3 +247,71 @@ def test_infeasible_scenarios_report_cleanly():
     assert sol.status == "infeasible"
     assert math.isnan(sol.objective)
     assert sol.plan is None
+
+
+def test_warm_started_enumeration_matches_cold_solves(monkeypatch):
+    """Every LP of the enumeration, reoptimized from the last optimal
+    one, has the status and objective a cold solve gives it."""
+    rng = np.random.default_rng(61)
+    real = bnb.solve_lp
+    compared = warm = 0
+
+    def both(problem, *, bounds_override, warm_start):
+        nonlocal compared, warm
+        res = real(problem, bounds_override=bounds_override, warm_start=warm_start)
+        cold = real(problem, bounds_override=bounds_override)
+        assert res.status == cold.status
+        if cold.status == "optimal":
+            assert res.objective == pytest.approx(cold.objective, abs=1e-9)
+        compared += 1
+        warm += warm_start is not None
+        return res
+
+    monkeypatch.setattr(bnb, "solve_lp", both)
+    for _ in range(20):
+        exhaustive_objective(build(*random_instance(rng)))
+    assert compared == 20 * 324
+    assert warm > compared // 2
+
+
+PIVOT_PATH = Path(__file__).parent / "golden" / "pivot_path.json"
+
+
+def record_pivot_paths() -> dict:
+    """Status, iteration count and final basis of every LP that
+    ``solve_mip`` solves on the two fixtures and 20 random draws."""
+    problems = {name: build(*load_fixture(name)) for name in ("tiny.json", "slack.json")}
+    rng = np.random.default_rng(2026)
+    for i in range(20):
+        problems[f"random[{i}]"] = build(*random_instance(rng))
+
+    paths = {}
+    real = bnb.solve_lp
+    for name, problem in problems.items():
+        calls = []
+
+        def spy(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append([res.status, res.iterations, list(res.basis)])
+            return res
+
+        bnb.solve_lp = spy
+        try:
+            solve_mip(problem)
+        finally:
+            bnb.solve_lp = real
+        paths[name] = calls
+    return paths
+
+
+def test_tree_search_keeps_its_cold_pivot_path():
+    """Branch and bound solves every node cold with Bland pricing, so its
+    pivot path is pinned: the golden file was recorded from the solver
+    before warm starts existed. To re-record after a deliberate change:
+    ``json.dump(record_pivot_paths(), open(PIVOT_PATH, "w"))``."""
+    with PIVOT_PATH.open() as fh:
+        want = json.load(fh)
+    got = record_pivot_paths()
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name] == want[name], name

@@ -1,11 +1,13 @@
 """Bounded-variable simplex behavior, checked by hand and by oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mintplan import IterationCapExceeded, MintPlanError, Row, StandardFormProblem, VariableIndex, solve_lp
+from mintplan import IterationCapExceeded, LpResult, MintPlanError, Row, StandardFormProblem, VariableIndex, solve_lp
+from mintplan import lpsolve
 
 from oracles import lp_oracle, random_lp
 
@@ -145,3 +147,114 @@ def test_agrees_with_vertex_oracle_on_random_lps():
         statuses[want_status] += 1
     # the draw must actually exercise all three outcomes
     assert min(statuses.values()) >= 5
+
+
+def same_result(a: LpResult, b: LpResult) -> bool:
+    return (
+        a.status == b.status
+        and repr(a.objective) == repr(b.objective)
+        and (a.x is None) == (b.x is None)
+        and (a.x is None or a.x.tobytes() == b.x.tobytes())
+        and a.basis == b.basis
+        and a.iterations == b.iterations
+    )
+
+
+def three_rows_lp() -> StandardFormProblem:
+    # min -x0 - x1 - x2 with x_i <= 5: the optimum has every x_i basic at
+    # 5, so fixing them at 1 needs one dual pivot per row
+    rows = [Row(f"r[{i}]", ((i, 1.0),), "<=", 5.0) for i in range(3)]
+    return small_lp([-1.0, -1.0, -1.0], rows, [0.0] * 3, [10.0] * 3)
+
+
+def test_warm_start_reoptimizes_by_dual_pivots():
+    problem = three_rows_lp()
+    first = solve_lp(problem)
+    fixed = {i: (1.0, 1.0) for i in range(3)}
+    warm = solve_lp(problem, bounds_override=fixed, warm_start=first)
+    cold = solve_lp(problem, bounds_override=fixed)
+    assert warm.status == cold.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+    assert warm.iterations == 3
+    chained = solve_lp(problem, warm_start=warm)
+    assert chained.objective == pytest.approx(first.objective, abs=1e-12)
+
+
+def test_warm_start_falls_back_past_the_iteration_cap():
+    problem = three_rows_lp()
+    first = solve_lp(problem)
+    fixed = {i: (1.0, 1.0) for i in range(3)}
+    warm = solve_lp(problem, bounds_override=fixed, iteration_cap=1, warm_start=first)
+    assert same_result(warm, solve_lp(problem, bounds_override=fixed, iteration_cap=1))
+
+
+def test_singular_start_basis_falls_back_to_cold():
+    # the two rows have parallel columns, so basis (x, y) is singular
+    rows = [
+        Row("r[0]", ((0, 1.0), (1, 1.0)), "<=", 4.0),
+        Row("r[1]", ((0, 2.0), (1, 2.0)), "<=", 10.0),
+    ]
+    problem = small_lp([-1.0, -2.0], rows, [0.0, 0.0], [10.0, 10.0])
+    # a bare basis carries no tableau to reoptimize from
+    singular = LpResult(status="optimal", objective=0.0, basis=(0, 1))
+    assert same_result(solve_lp(problem, warm_start=singular), solve_lp(problem))
+    # nor does a result of another problem object, however equal
+    other = solve_lp(replace(problem), bounds_override={1: (0.0, 0.0)})
+    assert same_result(solve_lp(problem, warm_start=other), solve_lp(problem))
+
+
+def test_singular_refactorization_in_a_warm_start_falls_back_to_cold(monkeypatch):
+    problem = three_rows_lp()
+    first = solve_lp(problem)
+    fixed = {i: (1.0, 1.0) for i in range(3)}
+    restarted = lpsolve._Tableau.restarted
+
+    def singular_restart(self, lower, upper):
+        new = restarted(self, lower, upper)
+
+        def refactor():
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        new._refactor = refactor
+        return new
+
+    monkeypatch.setattr(lpsolve._Tableau, "restarted", singular_restart)
+    warm = solve_lp(problem, bounds_override=fixed, warm_start=first)
+    assert same_result(warm, solve_lp(problem, bounds_override=fixed))
+
+
+def test_dual_infeasible_start_falls_back_to_cold():
+    # with y pinned at 0 the optimum leaves y nonbasic with reduced cost
+    # -1; freed, y prefers its infinite upper bound
+    rows = [Row("r[0]", ((0, 1.0), (1, 1.0)), "<=", 4.0)]
+    problem = small_lp([-1.0, -2.0], rows, [0.0, 0.0], [10.0, math.inf])
+    pinned = solve_lp(problem, bounds_override={1: (0.0, 0.0)})
+    assert pinned.status == "optimal"
+    warm = solve_lp(problem, warm_start=pinned)
+    assert same_result(warm, solve_lp(problem))
+    assert warm.objective == pytest.approx(-8.0, abs=1e-12)
+
+
+def test_dual_ratio_test_proves_infeasibility(monkeypatch):
+    rows = [Row("r[0]", ((0, 1.0), (1, 1.0)), "<=", 4.0)]
+    problem = small_lp([-1.0, -1.0], rows, [0.0, 0.0], [10.0, 10.0])
+    first = solve_lp(problem)
+    assert solve_lp(problem, bounds_override={0: (5.0, 5.0)}).status == "infeasible"
+
+    def no_cold_solve(*args):
+        raise AssertionError("the warm start fell back to a cold solve")
+
+    monkeypatch.setattr(lpsolve, "_solve_cold", no_cold_solve)
+    warm = solve_lp(problem, bounds_override={0: (5.0, 5.0)}, warm_start=first)
+    assert warm.status == "infeasible"
+    assert math.isnan(warm.objective) and warm.x is None
+
+
+def test_warm_start_without_rows():
+    problem = small_lp([-1.0], [], [0.0], [10.0])
+    first = solve_lp(problem)
+    assert first.basis == ()
+    warm = solve_lp(problem, bounds_override={0: (0.0, 5.0)}, warm_start=first)
+    assert warm.status == "optimal" and warm.basis == ()
+    assert warm.objective == -5.0 and warm.x[0] == 5.0
+    assert warm.iterations == 0  # the reduced cost alone puts x at its upper bound

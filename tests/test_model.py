@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +231,13 @@ def test_validate_scenario_rejects_nonfinite_and_bad_horizon():
     assert any("horizon" in m for m in validate_scenario(make_scenario(horizon=0, demand=np.zeros((0, 2)), operating_floor=np.zeros((0, 2)))))
     bad = make_scenario(vault_cap=math.inf)
     assert any("vault_cap" in m for m in validate_scenario(bad))
+
+
+def test_readme_scenario_and_disruption_entry_parse():
+    """The README's example file, with its example disruption entry added."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    doc = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    entry = json.loads(re.search(r"`disruptions` entries such as\s+`(\{.*?\})`", readme, re.S).group(1))
+    doc["disruptions"] = [entry]
+    scenario, _ = load_scenario(json.dumps(doc))
+    assert scenario.disruptions == (Disruption(quarter=1, process="striking", capacity_scale=0.62),)
