@@ -2,10 +2,14 @@
 type: a two-phase primal method for cold solves and a dual method that
 reoptimizes from an earlier optimal basis.
 
-A cold solve runs the classic two phases. Every row gets a slack or an
-artificial starting column so the initial basis is trivially feasible;
-phase 1 drives the artificials to zero (or proves infeasibility), phase
-2 optimizes the real objective. Bland's smallest-index rule picks both
+A cold solve first screens the bound box: when some row's activity,
+over every point between the column bounds, misses its right-hand side
+by more than ten times the phase-1 tolerance, the LP is infeasible and
+the solve returns what phase 1 would, with no simplex run. Otherwise it
+runs the classic two phases. Every row gets a slack or an artificial
+starting column so the initial basis is trivially feasible; phase 1
+drives the artificials to zero (or proves infeasibility), phase 2
+optimizes the real objective. Bland's smallest-index rule picks both
 the entering and the leaving variable, which makes the iteration
 cycle-free at the price of speed; instances here are small enough that
 robustness wins. Variables move between a finite lower and a possibly
@@ -33,7 +37,14 @@ the solve it starts from, so an enumeration over one problem assembles
 them once. The basis inverse is kept explicitly and updated
 by the product form on each pivot, with a full refactorization (and a
 fresh recomputation of the basic values) every few dozen pivots to keep
-drift at machine precision.
+drift at machine precision. Each starting column is a signed unit
+vector on its own row, so the starting basis is a signed identity and
+its inverse is written down, not computed; a refactorization inverts
+the basis only when a pivot has changed it since the last inversion,
+since the same basis would invert to the same matrix. A pivot updates
+only the rows of the inverse whose entry in the entering column is
+nonzero: the full update would leave every other row as it is, but for
+the sign of its zero entries.
 """
 
 from __future__ import annotations
@@ -122,6 +133,26 @@ class _Assembly:
             upper[col] = hi
         return lower, upper
 
+    def box_misses_a_row(self, lower: np.ndarray, upper: np.ndarray) -> bool:
+        """Whether some row cannot be met anywhere in the bound box: its
+        activity range over the box misses the right-hand side by more
+        than ``10 * FEAS_TOL * max(1, |rhs|)``, well past what cold phase 1
+        tolerates. An infinite bound makes its side of the range infinite
+        wherever its column has a nonzero coefficient, and nowhere else."""
+        A = self.A
+        lo_inf, hi_inf = np.isinf(lower), np.isinf(upper)
+        lo, hi = np.where(lo_inf, 0.0, lower), np.where(hi_inf, 0.0, upper)
+        positive, negative = A > 0.0, A < 0.0
+        A_pos, A_neg = np.where(positive, A, 0.0), np.where(negative, A, 0.0)
+        least = A_pos @ lo + A_neg @ hi
+        most = A_pos @ hi + A_neg @ lo
+        least[positive @ lo_inf | negative @ hi_inf] = -np.inf
+        most[positive @ hi_inf | negative @ lo_inf] = np.inf
+        margin = 10.0 * FEAS_TOL * np.maximum(1.0, np.abs(self.b))
+        too_low = (self.sense <= 0.0) & (most < self.b - margin)  # ">=" and "=" rows
+        too_high = (self.sense >= 0.0) & (least > self.b + margin)  # "<=" and "=" rows
+        return bool(np.any(too_low | too_high))
+
     def worst_violation(self, x: np.ndarray) -> tuple[int, float] | None:
         """The first row that ``x`` violates beyond tolerance, with the
         amount, or None."""
@@ -185,8 +216,11 @@ class _Tableau:
         self.basis = basis
         self.need_phase1 = bool(art_rows.size)
         self.iterations = 0
-        self.B_inv = None
-        self._refactor()
+        # every starting column is a signed unit vector on its own row, so
+        # the starting basis is a signed identity and is its own inverse
+        self.B_inv = np.diag(A[np.arange(m), basis])
+        self._pivoted = False  # whether B_inv has been updated since its factorization
+        self._recompute_basics()
 
     def restarted(self, lower: np.ndarray, upper: np.ndarray) -> _Tableau | None:
         """A copy at this tableau's basis under new structural bounds,
@@ -216,7 +250,12 @@ class _Tableau:
         return new
 
     def _refactor(self) -> None:
-        self.B_inv = np.linalg.inv(self.A[:, self.basis])
+        """Recompute the basic values, after inverting the basis afresh
+        if a pivot changed it since the last inversion (an unchanged
+        basis would invert to the very same matrix)."""
+        if self._pivoted:
+            self.B_inv = np.linalg.inv(self.A[:, self.basis])
+            self._pivoted = False
         self._recompute_basics()
 
     def _recompute_basics(self) -> None:
@@ -227,70 +266,83 @@ class _Tableau:
 
     def _pivot(self, pos: int, dq: np.ndarray) -> None:
         pivot_row = self.B_inv[pos] / dq[pos]
-        self.B_inv -= dq[:, None] * pivot_row
+        rows = dq.nonzero()[0]  # a row with a zero entry stays as it is
+        self.B_inv[rows] -= dq[rows, None] * pivot_row
         self.B_inv[pos] = pivot_row
+        self._pivoted = True
 
     def iterate(self, c: np.ndarray, cap: int) -> str:
-        """Run simplex on objective ``c`` until optimal or unbounded."""
+        """Run simplex on objective ``c`` until optimal or unbounded.
+
+        The basic values, bounds and costs live in arrays ordered like
+        the basis for the length of the loop; ``self.x`` gets the basic
+        values back before every return, and refactorizations recompute
+        them from the nonbasic ones."""
         pivots_since = 0
-        movable = (self.u - self.l) > PIVOT_TOL
+        basis, l, u, A, x, status = self.basis, self.l, self.u, self.A, self.x, self.status
+        movable = (u - l) > PIVOT_TOL
+        # +1 at the lower bound, -1 at the upper, 0 when basic or fixed: a
+        # column may enter when side * reduced cost < -DUAL_TOL
+        side = np.where(status == _AT_LOWER, 1.0, -1.0)
+        side[~movable | (status == _BASIC)] = 0.0
+        xB, lB, uB, cB = x[basis], l[basis], u[basis], c[basis]
+        ratios = np.empty(len(basis))
         for _ in range(cap):
             self.iterations += 1
-            y = c[self.basis] @ self.B_inv
-            reduced = c - y @ self.A
-            eligible = movable & (
-                ((self.status == _AT_LOWER) & (reduced < -DUAL_TOL))
-                | ((self.status == _AT_UPPER) & (reduced > DUAL_TOL))
-            )
-            if not eligible.any():
+            reduced = c - (cB @ self.B_inv) @ A
+            eligible = side * reduced < -DUAL_TOL
+            q = int(eligible.argmax())  # Bland: smallest eligible index
+            if not eligible[q]:
                 self.iterations -= 1  # this pass only confirmed optimality
                 self._refactor()
                 return "optimal"
-            q = int(np.argmax(eligible))  # Bland: smallest eligible index
-            direction = 1.0 if self.status[q] == _AT_LOWER else -1.0
-            dq = self.B_inv @ self.A[:, q]
+            direction = float(side[q])
+            dq = self.B_inv @ A[:, q]
             eta = -direction * dq  # basic values move by t * eta
 
-            xB = self.x[self.basis]
-            lB = self.l[self.basis]
-            uB = self.u[self.basis]
-            toward_lower = np.full(len(eta), np.inf)
-            down = eta < -PIVOT_TOL
-            toward_lower[down] = (xB[down] - lB[down]) / -eta[down]
-            toward_upper = np.full(len(eta), np.inf)
-            up = eta > PIVOT_TOL
-            toward_upper[up] = (uB[up] - xB[up]) / eta[up]
-            ratios = np.minimum(toward_lower, toward_upper)
+            # distance to the bound each basic value moves toward, over
+            # its speed; rows it does not move never block
+            speed = np.abs(eta)
+            ratios.fill(math.inf)
+            np.divide(np.where(eta < 0.0, xB - lB, uB - xB), speed, out=ratios, where=speed > PIVOT_TOL)
             min_ratio = float(ratios.min()) if ratios.size else math.inf
-            t_flip = self.u[q] - self.l[q]
+            t_flip = u[q] - l[q]
 
             if t_flip <= min_ratio:
                 if not math.isfinite(t_flip):
+                    x[basis] = xB
                     return "unbounded"
-                self.x[self.basis] = xB + t_flip * eta
-                self.x[q] = self.u[q] if direction > 0 else self.l[q]
-                self.status[q] = _AT_UPPER if direction > 0 else _AT_LOWER
+                xB += t_flip * eta
+                x[q] = u[q] if direction > 0 else l[q]
+                status[q] = _AT_UPPER if direction > 0 else _AT_LOWER
+                side[q] = -direction
                 continue
             if not math.isfinite(min_ratio):
+                x[basis] = xB
                 return "unbounded"
 
-            blocking = np.nonzero(ratios <= min_ratio + 1e-12)[0]
-            leave_pos = int(blocking[np.argmin(self.basis[blocking])])  # Bland again
-            out_col = int(self.basis[leave_pos])
+            blocking = (ratios <= min_ratio + 1e-12).nonzero()[0]
+            leave_pos = int(blocking[basis[blocking].argmin()])  # Bland again
+            out_col = int(basis[leave_pos])
             hits_lower = eta[leave_pos] < 0.0
 
-            self.x[self.basis] = xB + min_ratio * eta
-            self.x[q] = self.l[q] + min_ratio if direction > 0 else self.u[q] - min_ratio
-            self.x[out_col] = self.l[out_col] if hits_lower else self.u[out_col]
-            self.status[out_col] = _AT_LOWER if hits_lower else _AT_UPPER
-            self.status[q] = _BASIC
-            self.basis[leave_pos] = q
+            xB += min_ratio * eta
+            xB[leave_pos] = l[q] + min_ratio if direction > 0 else u[q] - min_ratio
+            lB[leave_pos], uB[leave_pos], cB[leave_pos] = l[q], u[q], c[q]
+            x[out_col] = l[out_col] if hits_lower else u[out_col]
+            status[out_col] = _AT_LOWER if hits_lower else _AT_UPPER
+            status[q] = _BASIC
+            side[out_col] = (1.0 if hits_lower else -1.0) if movable[out_col] else 0.0
+            side[q] = 0.0
+            basis[leave_pos] = q
 
             self._pivot(leave_pos, dq)
             pivots_since += 1
             if pivots_since >= REFACTOR_EVERY:
                 self._refactor()
+                xB = x[basis]
                 pivots_since = 0
+        x[basis] = xB
         raise IterationCapExceeded(f"simplex exceeded {cap} iterations")
 
     def dual_iterate(self, cap: int) -> str:
@@ -431,6 +483,8 @@ def _reoptimize(start: _Tableau, lower: np.ndarray, upper: np.ndarray, cap: int)
 
 
 def _solve_cold(asm: _Assembly, lower: np.ndarray, upper: np.ndarray, cap: int) -> LpResult:
+    if asm.box_misses_a_row(lower, upper):
+        return LpResult(status="infeasible", objective=math.nan)  # what phase 1 would find
     tableau = _Tableau(asm, lower, upper)
     if tableau.need_phase1:
         c1 = np.zeros(asm.n_total)

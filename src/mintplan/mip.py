@@ -247,9 +247,15 @@ def _shared_layout(columns: tuple[VariableIndex, ...]) -> tuple[tuple[VariableIn
     return columns, MappingProxyType({(v.kind, v.quarter, v.index): v.column for v in columns})
 
 
+@lru_cache(maxsize=64)
 def _cost_gap(config: MintConfig, horizon: int, cap: int = 200_000) -> float | None:
     """Smallest positive gap between achievable total extra-shift costs,
-    or None when the enumeration would exceed ``cap`` values."""
+    or None when the enumeration would exceed ``cap`` values.
+
+    The gap depends on nothing but the config's step costs and the
+    horizon, and enumerating it is about half the cost of ``build``; a
+    rolling simulation rebuilds its model every epoch over a handful of
+    (config, horizon) pairs, so the result is cached per pair."""
     blanking = {0.0} | set(config.blanking_costs)
     annealing = {0.0, config.annealing_cost}
     striking = {0.0} | set(config.striking_costs)

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import costs as costs_mod
-from .bnb import DEFAULT_NODE_CAP, RepairInfeasibleError
+from .bnb import DEFAULT_NODE_CAP
 from .heuristics import HeuristicEvent, solve_pipeline
 from .mip import DEFAULT_K_MAX
 from .model import (
@@ -215,8 +215,10 @@ def run_simulation(
     Each epoch builds a scenario over its window (5, 4, 3, 2, then 5
     again), solves the pipeline with the configured heuristics, executes
     the first quarter, and advances inventory with realized demand. An
-    epoch whose model is infeasible or unrepairable falls back to a
-    capped shortfall order and is recorded in ``infeasible_epochs``.
+    epoch whose model is infeasible, unrepairable or stopped by a solver
+    error (a node or iteration cap, numerical trouble) falls back to a
+    capped shortfall order, is recorded in ``infeasible_epochs`` and
+    names its reason in ``notes``.
     """
     history = tuple(history)
     if not history:
@@ -310,15 +312,17 @@ def run_simulation(
             )
             if sol.status == "optimal":
                 order = np.array(sol.plan.orders[0])
-        except RepairInfeasibleError:
-            pass
+            else:
+                reason = f"the model is {sol.status}"
+        except MintPlanError as err:  # a node or iteration cap, an unrepairable plan, numerical trouble
+            reason = f"{type(err).__name__}: {err}"
         if order is None:
             infeasible.append(e)
             order = _fallback_order(
                 planning_inv, forecast[0], floors[0], config, settings.disruptions, e, specs,
                 settings.granularity,
             )
-            notes.append(f"epoch {e}: model had no usable solution; fell back to a shortfall order")
+            notes.append(f"epoch {e}: model had no usable solution ({reason}); fell back to a shortfall order")
         events_per_epoch.append(tuple(events))
 
         orders[e] = order

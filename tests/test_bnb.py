@@ -279,11 +279,16 @@ PIVOT_PATH = Path(__file__).parent / "golden" / "pivot_path.json"
 
 def record_pivot_paths() -> dict:
     """Status, iteration count and final basis of every LP that
-    ``solve_mip`` solves on the two fixtures and 20 random draws."""
+    ``solve_mip`` solves on the two fixtures, 20 random 2x2 draws and
+    three 5-quarter, 7-denomination draws of campaign size (107 rows)."""
     problems = {name: build(*load_fixture(name)) for name in ("tiny.json", "slack.json")}
     rng = np.random.default_rng(2026)
     for i in range(20):
         problems[f"random[{i}]"] = build(*random_instance(rng))
+    rng = np.random.default_rng(2026)
+    draws = [random_instance(rng, horizon=5, n_denoms=7) for _ in range(39)]
+    for i in (5, 17, 38):  # trees of 14, 32 and 38 LPs
+        problems[f"random5x7[{i}]"] = build(*draws[i])
 
     paths = {}
     real = bnb.solve_lp

@@ -258,3 +258,82 @@ def test_warm_start_without_rows():
     assert warm.status == "optimal" and warm.basis == ()
     assert warm.objective == -5.0 and warm.x[0] == 5.0
     assert warm.iterations == 0  # the reduced cost alone puts x at its upper bound
+
+
+def screen_spy(monkeypatch) -> list:
+    """Records what each bound-box screen before a cold solve answered."""
+    answers = []
+    screen = lpsolve._Assembly.box_misses_a_row
+
+    def spy(self, lower, upper):
+        answers.append(screen(self, lower, upper))
+        return answers[-1]
+
+    monkeypatch.setattr(lpsolve._Assembly, "box_misses_a_row", spy)
+    return answers
+
+
+def unscreened(monkeypatch, *args, **kwargs) -> LpResult:
+    with monkeypatch.context() as patch:
+        patch.setattr(lpsolve._Assembly, "box_misses_a_row", lambda self, lower, upper: False)
+        return solve_lp(*args, **kwargs)
+
+
+def test_box_screen_leaves_a_slim_miss_to_phase_1(monkeypatch):
+    # at x = 1, the row misses by half the phase-1 tolerance: the screen
+    # must stay quiet and phase 1 accepts the point
+    rows = [Row("r[0]", ((0, 1.0),), ">=", 1.0 + 0.5 * lpsolve.FEAS_TOL)]
+    problem = small_lp([1.0], rows, [0.0], [1.0])
+    answers = screen_spy(monkeypatch)
+    res = solve_lp(problem)
+    assert answers == [False]
+    assert res.status == "optimal"
+    assert res.x[0] == 1.0
+
+
+def test_box_screen_answers_a_clear_miss_as_phase_1_would(monkeypatch):
+    rows = [
+        Row("r[0]", ((0, 1.0), (1, 1.0)), ">=", 5.0),  # at most 3 over the box
+        Row("r[1]", ((0, 1.0), (1, -1.0)), "<=", 4.0),
+    ]
+    problem = small_lp([1.0, 1.0], rows, [0.0, 0.0], [1.0, 2.0])
+    answers = screen_spy(monkeypatch)
+    screened = solve_lp(problem)
+    assert answers == [True]
+    cold = unscreened(monkeypatch, problem)
+    assert cold.status == "infeasible"
+    assert same_result(screened, cold)
+
+
+def test_box_screen_reads_the_bounds_override(monkeypatch):
+    rows = [Row("r[0]", ((0, 1.0), (1, 1.0)), ">=", 2.5)]
+    problem = small_lp([1.0, 1.0], rows, [0.0, 0.0], [1.0, 2.0])
+    answers = screen_spy(monkeypatch)
+    assert solve_lp(problem).status == "optimal"
+    pinned = {1: (0.0, 0.0)}  # leaves r[0] at most 1
+    screened = solve_lp(problem, bounds_override=pinned)
+    assert answers == [False, True]
+    assert same_result(screened, unscreened(monkeypatch, problem, bounds_override=pinned))
+
+
+def test_box_screen_handles_infinite_bounds(monkeypatch):
+    # z in [0, inf) and w in (-inf, 0] make r[0] and r[1] reachable; r[2]
+    # has neither, and a 0 * inf turned NaN must not hide its miss
+    lower, upper = [0.0, 0.0, 0.0, -math.inf], [1.0, 2.0, math.inf, 0.0]
+    reachable = [
+        Row("r[0]", ((0, 1.0), (2, 1.0)), ">=", 5.0),
+        Row("r[1]", ((0, 1.0), (3, -1.0)), ">=", 5.0),
+    ]
+    problem = small_lp([0.0, 0.0, 1.0, -1.0], reachable, lower, upper)
+    answers = screen_spy(monkeypatch)
+    res = solve_lp(problem)
+    assert answers == [False]
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(8.0, abs=1e-9)  # x = 1, z = 4, w = -4
+
+    missed = Row("r[2]", ((0, 1.0), (1, 1.0)), ">=", 5.0)
+    problem = small_lp([0.0, 0.0, 1.0, -1.0], reachable + [missed], lower, upper)
+    with np.errstate(invalid="raise"):
+        screened = solve_lp(problem)
+    assert answers == [False, True]
+    assert same_result(screened, unscreened(monkeypatch, problem))

@@ -1,5 +1,7 @@
 """Rolling-horizon simulator: epoch mechanics, audits, and reports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,19 @@ def test_infeasible_epoch_falls_back_to_capped_shortfall():
     assert report.shortage_quarters == (0, 1, 2)
     assert any("no usable solution" in note for note in report.notes)
     assert any("clamped to zero" in note for note in report.notes)
+
+
+def test_solver_errors_fall_back_epoch_by_epoch():
+    # one node cannot finish a branch-and-bound search: every epoch that
+    # needs branching raises NodeCapExceeded, which must not end the run
+    bundle = generate_synthetic_scenario(0, quarters=4)
+    settings = replace(bundle.settings, node_cap=1)
+    report = run_simulation(bundle.history, bundle.config, bundle.coin_specs, settings)
+    assert report.infeasible_epochs == (0, 1, 2, 3)
+    reasons = [note for note in report.notes if "no usable solution" in note]
+    assert [note.split(":")[0] for note in reasons] == [f"epoch {e}" for e in range(4)]
+    assert "(NodeCapExceeded: branch-and-bound exceeded its node cap)" in reasons[0]
+    assert all("no usable solution (" in note for note in reasons)  # each names its reason
 
 
 def test_opening_stock_above_the_vault_lifts_the_window_cap():
