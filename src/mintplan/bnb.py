@@ -25,7 +25,7 @@ import numpy as np
 
 from . import costs as costs_mod
 from . import mip as mip_mod
-from .lpsolve import solve_lp
+from .lpsolve import slack_start, solve_lp
 from .mip import DEFAULT_K_MAX, InjectedConstraint, Row, StandardFormProblem
 from .model import (
     BOUNDARY_TOL,
@@ -695,10 +695,12 @@ def exhaustive_objective(problem: StandardFormProblem) -> tuple[str, float]:
 
     Assignments switching two levels of the same ladder on in one
     quarter are skipped: the model's own choice rows make their LPs
-    infeasible, so they can never carry the optimum. Each LP is
-    reoptimized by dual simplex from the last optimal one, since
-    neighbouring assignments differ in a few bounds; a failed warm start
-    falls back to a cold solve.
+    infeasible, so they can never carry the optimum. Every LP runs the
+    dual simplex: the first from the slack basis (``slack_start``), each
+    later one from the last result that carries a dual-feasible basis,
+    whether optimal or proved infeasible, since neighbouring assignments
+    differ in a few bounds. A failed warm start falls back to a cold
+    solve.
     Exponential in the horizon; meant for validating the tree search on
     tiny instances.
     """
@@ -713,16 +715,17 @@ def exhaustive_objective(problem: StandardFormProblem) -> tuple[str, float]:
 
     best_key = None
     best_objective = math.nan
-    last = None
+    last = slack_start(problem)
     for combo in product(*options):
         override = {col: (0.0, 0.0) for col in problem.binaries}
         for col in combo:
             if col is not None:
                 override[col] = (1.0, 1.0)
         res = solve_lp(problem, bounds_override=override, warm_start=last)
+        if res.can_warm_start:
+            last = res
         if res.status != "optimal":
             continue
-        last = res
         cost = float(sum(problem.objective[col] * hi for col, (_, hi) in override.items()))
         k = cost - res.objective  # the LP part of the objective is -K
         if problem.mode == "combined":

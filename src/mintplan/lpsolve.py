@@ -1,6 +1,6 @@
 """Bounded-variable simplex, written against the package's own problem
 type: a two-phase primal method for cold solves and a dual method that
-reoptimizes from an earlier optimal basis.
+reoptimizes from a dual-feasible basis.
 
 A cold solve first screens the bound box: when some row's activity,
 over every point between the column bounds, misses its right-hand side
@@ -17,34 +17,41 @@ infinite upper bound, and a step that only sends the entering variable
 to its opposite bound is taken as a bound flip without any basis
 change.
 
-A warm solve (``warm_start=``) takes the optimal basis and basis inverse
-that an earlier solve of the same problem object, under other bounds,
-carries in its result; any other warm start solves cold. The reduced
-costs do not depend on the bounds, so putting each nonbasic column at
-the bound its reduced cost prefers gives a dual-feasible start, and a
-bounded dual simplex pivots back to primal feasibility: the most
+A warm solve (``warm_start=``) takes the basis and basis inverse that a
+result of the same problem object carries; any other warm start solves
+cold. Three kinds of result carry one: an optimal result, an
+infeasibility the dual simplex proved, and ``slack_start``, which is
+the starting slack/artificial basis with every artificial boxed at
+[0, 0]. The reduced costs do not depend on the bounds, so putting each
+nonbasic column at the bound its reduced cost prefers gives a
+dual-feasible start (from the slack basis the reduced costs are the
+costs themselves, and every mintplan objective prefers finite bounds),
+and a bounded dual simplex pivots back to primal feasibility: the most
 violated basic value leaves, the dual ratio test picks the entering
 column, and a row with no entering candidate proves the LP infeasible.
-The primal phase-2 pass then confirms optimality. Any trouble falls back
-to the cold solve: a preferred bound that is infinite, a singular
-refactorization, a stall past the iteration budget, an infeasibility too slim
-to prove with margin over the cold phase-1 tolerance, or a final point
-off its rows.
+That proof keeps the basis dual feasible, so the next solve restarts
+from it. The primal phase-2 pass then confirms optimality. Any trouble
+falls back to the cold solve: a preferred bound that is infinite, a
+singular refactorization, a stall past the iteration budget, an
+infeasibility too slim to prove with margin over the cold phase-1
+tolerance, or a final point off its rows.
 
-Each cold solve assembles the structural matrix, right-hand sides,
-slack layout and bounds with numpy; a warm solve reuses the arrays of
-the solve it starts from, so an enumeration over one problem assembles
-them once. The basis inverse is kept explicitly and updated
-by the product form on each pivot, with a full refactorization (and a
-fresh recomputation of the basic values) every few dozen pivots to keep
-drift at machine precision. Each starting column is a signed unit
-vector on its own row, so the starting basis is a signed identity and
-its inverse is written down, not computed; a refactorization inverts
-the basis only when a pivot has changed it since the last inversion,
-since the same basis would invert to the same matrix. A pivot updates
-only the rows of the inverse whose entry in the entering column is
-nonzero: the full update would leave every other row as it is, but for
-the sign of its zero entries.
+The structural matrix, right-hand sides, slack layout and bounds are
+assembled with numpy once per problem object: the last assembly is
+kept for the next cold solve of the same object (the nodes of a tree
+search), and a warm solve reuses the arrays of the result it starts
+from. The basis inverse is kept explicitly and updated by the product
+form on each pivot, with a full refactorization (and a fresh
+recomputation of the basic values) after every few dozen updates to
+keep drift at machine precision; the count of updates travels with the
+basis from one warm solve to the next. Each starting column is a signed
+unit vector on its own row, so the starting basis is a signed identity
+and its inverse is written down, not computed; a refactorization
+inverts the basis only when a pivot has changed it since the last
+inversion, since the same basis would invert to the same matrix. A
+pivot updates only the rows of the inverse whose entry in the entering
+column is nonzero: the full update would leave every other row as it
+is, but for the sign of its zero entries.
 """
 
 from __future__ import annotations
@@ -88,12 +95,19 @@ class LpResult:
 
     ``objective`` is NaN for infeasible and -inf for unbounded problems;
     ``x`` covers the problem's own columns (no slacks) and is None
-    unless the status is optimal. ``basis`` lists the basic columns in
-    the solver's internal indexing (structural columns first, then one
-    slack per inequality row, then one artificial per row). An optimal
-    result carries the solver's arrays privately; passed as
-    ``warm_start`` to another solve of the same problem object, it
-    reoptimizes from this basis without assembly or factorization.
+    unless the status is optimal. ``basis`` lists the basic columns of
+    an optimal result in the solver's internal indexing (structural
+    columns first, then one slack per inequality row, then one
+    artificial per row). ``iterations`` counts the iterations of phase 2
+    and of the dual simplex, not those of a cold phase 1.
+
+    A result whose basis is dual feasible carries the solver's arrays
+    privately (``can_warm_start``): every optimal result, every
+    infeasible one the dual simplex proved, and the ``slack_start`` of a
+    problem, whose status is "unsolved". Passed as ``warm_start`` to
+    another solve of the same problem object, it reoptimizes from that
+    basis without assembly or factorization. Infeasible results of a
+    cold solve carry nothing.
     """
 
     status: str
@@ -102,6 +116,12 @@ class LpResult:
     basis: tuple[int, ...] = ()
     iterations: int = 0
     _tableau: "_Tableau | None" = field(default=None, repr=False, compare=False)
+
+    @property
+    def can_warm_start(self) -> bool:
+        """Whether passing this result as ``warm_start`` to a solve of its
+        own problem object reoptimizes from its basis."""
+        return self._tableau is not None
 
 
 class _Assembly:
@@ -125,6 +145,11 @@ class _Assembly:
         self.n_total = n + len(self.slack_rows) + m
         self.cost = np.zeros(self.n_total)
         self.cost[:n] = problem.objective
+        # the tableau's matrix but for the artificial columns, whose signs
+        # depend on the bounds
+        self.A_start = np.zeros((m, self.n_total))
+        self.A_start[:, :n] = self.A
+        self.A_start[self.slack_rows, n + np.arange(len(self.slack_rows))] = self.sense[self.slack_rows]
 
     def bounds(self, bounds_override: dict | None) -> tuple[np.ndarray, np.ndarray]:
         lower, upper = self.lower.copy(), self.upper.copy()
@@ -154,14 +179,16 @@ class _Assembly:
         return bool(np.any(too_low | too_high))
 
     def worst_violation(self, x: np.ndarray) -> tuple[int, float] | None:
-        """The first row that ``x`` violates beyond tolerance, with the
-        amount, or None."""
+        """The row that ``x`` violates most among those it violates
+        beyond tolerance (the lowest such row on a tie), with the amount,
+        or None."""
         gap = self.A @ x - self.b
         violation = np.where(self.sense == 0.0, np.abs(gap), np.maximum(0.0, self.sense * gap))
         bad = np.flatnonzero(violation > FEAS_TOL * np.maximum(1.0, np.abs(self.b)))
         if bad.size == 0:
             return None
-        return int(bad[0]), float(violation[bad[0]])
+        worst = int(bad[np.argmax(violation[bad])])
+        return worst, float(violation[worst])
 
 
 class _Tableau:
@@ -174,8 +201,7 @@ class _Tableau:
         ntot = asm.n_total
         self.asm = asm
         self.n_struct = n
-        A = np.zeros((m, ntot))
-        A[:, :n] = asm.A
+        A = asm.A_start.copy()
         b = asm.b
 
         self.l = np.concatenate([lower, np.zeros(n_slack), np.zeros(m)])
@@ -192,7 +218,6 @@ class _Tableau:
         residual = b - A[:, :n] @ self.x[:n]
         self.art_cols = np.arange(n + n_slack, ntot)
         slack_cols = np.arange(n, n + n_slack)
-        A[asm.slack_rows, slack_cols] = asm.sense[asm.slack_rows]
         sval = residual[asm.slack_rows] / asm.sense[asm.slack_rows]
         use = sval >= 0.0
         slack_rows, slack_cols, sval = asm.slack_rows[use], slack_cols[use], sval[use]
@@ -219,7 +244,7 @@ class _Tableau:
         # every starting column is a signed unit vector on its own row, so
         # the starting basis is a signed identity and is its own inverse
         self.B_inv = np.diag(A[np.arange(m), basis])
-        self._pivoted = False  # whether B_inv has been updated since its factorization
+        self._pivots = 0  # product-form updates of B_inv since its factorization
         self._recompute_basics()
 
     def restarted(self, lower: np.ndarray, upper: np.ndarray) -> _Tableau | None:
@@ -253,9 +278,9 @@ class _Tableau:
         """Recompute the basic values, after inverting the basis afresh
         if a pivot changed it since the last inversion (an unchanged
         basis would invert to the very same matrix)."""
-        if self._pivoted:
+        if self._pivots:
             self.B_inv = np.linalg.inv(self.A[:, self.basis])
-            self._pivoted = False
+            self._pivots = 0
         self._recompute_basics()
 
     def _recompute_basics(self) -> None:
@@ -269,7 +294,7 @@ class _Tableau:
         rows = dq.nonzero()[0]  # a row with a zero entry stays as it is
         self.B_inv[rows] -= dq[rows, None] * pivot_row
         self.B_inv[pos] = pivot_row
-        self._pivoted = True
+        self._pivots += 1
 
     def iterate(self, c: np.ndarray, cap: int) -> str:
         """Run simplex on objective ``c`` until optimal or unbounded.
@@ -278,7 +303,6 @@ class _Tableau:
         the basis for the length of the loop; ``self.x`` gets the basic
         values back before every return, and refactorizations recompute
         them from the nonbasic ones."""
-        pivots_since = 0
         basis, l, u, A, x, status = self.basis, self.l, self.u, self.A, self.x, self.status
         movable = (u - l) > PIVOT_TOL
         # +1 at the lower bound, -1 at the upper, 0 when basic or fixed: a
@@ -337,11 +361,9 @@ class _Tableau:
             basis[leave_pos] = q
 
             self._pivot(leave_pos, dq)
-            pivots_since += 1
-            if pivots_since >= REFACTOR_EVERY:
+            if self._pivots >= REFACTOR_EVERY:
                 self._refactor()
                 xB = x[basis]
-                pivots_since = 0
         x[basis] = xB
         raise IterationCapExceeded(f"simplex exceeded {cap} iterations")
 
@@ -350,7 +372,6 @@ class _Tableau:
         every basic value is within its bounds ("feasible"), a row proves
         the LP infeasible ("infeasible"), or a row has no entering
         column but no proof either ("stalled")."""
-        pivots_since = 0
         movable = (self.u - self.l) > PIVOT_TOL
         for _ in range(cap):
             xB = self.x[self.basis]
@@ -404,10 +425,8 @@ class _Tableau:
             self.basis[r] = q
 
             self._pivot(r, dq)
-            pivots_since += 1
-            if pivots_since >= REFACTOR_EVERY:
+            if self._pivots >= REFACTOR_EVERY:
                 self._refactor()
-                pivots_since = 0
         raise IterationCapExceeded(f"dual simplex exceeded {cap} iterations")
 
     def drive_out_artificials(self) -> None:
@@ -437,12 +456,39 @@ class _Tableau:
         self._refactor()
 
 
+_last_assembly: _Assembly | None = None
+
+
+def _assembly(problem: StandardFormProblem) -> _Assembly:
+    """The arrays of ``problem``. The last assembly is kept, so solving
+    one problem object many times in a row (the nodes of a tree search)
+    assembles it once; the object is frozen and the assembly holds it, so
+    the identity check cannot be fooled by a new object at a reused
+    address."""
+    global _last_assembly
+    asm = _last_assembly
+    if asm is None or asm.problem is not problem:
+        asm = _last_assembly = None  # the old arrays go before the new ones exist
+        asm = _last_assembly = _Assembly(problem)
+    return asm
+
+
+def slack_start(problem: StandardFormProblem) -> LpResult:
+    """A result to pass as ``warm_start`` to a first solve of ``problem``,
+    which then runs the dual simplex from the starting slack/artificial
+    basis with every artificial boxed at [0, 0]. Its duals are zero, so
+    each nonbasic column sits at the bound its own cost prefers; when
+    such a bound is infinite the solve falls back to cold."""
+    asm = _assembly(problem)
+    tableau = _Tableau(asm, asm.lower, asm.upper)
+    tableau.u[tableau.art_cols] = 0.0
+    return LpResult(status="unsolved", objective=math.nan, _tableau=tableau)
+
+
 def _start_from(problem: StandardFormProblem, warm_start: LpResult | None) -> _Tableau | None:
-    """The optimal tableau to reoptimize from, or None for a cold solve:
-    only an optimal result of this very problem carries one."""
-    if warm_start is None or warm_start.status != "optimal":
-        return None
-    start = warm_start._tableau
+    """The dual-feasible tableau to reoptimize from, or None for a cold
+    solve: only a result of this very problem carries one."""
+    start = warm_start._tableau if warm_start is not None else None
     return start if start is not None and start.asm.problem is problem else None
 
 
@@ -474,7 +520,8 @@ def _reoptimize(start: _Tableau, lower: np.ndarray, upper: np.ndarray, cap: int)
     try:
         status = tableau.dual_iterate(cap)
         if status == "infeasible":
-            return LpResult(status="infeasible", objective=math.nan, iterations=tableau.iterations)
+            # the basis stays dual feasible, so the next solve restarts from it
+            return LpResult(status="infeasible", objective=math.nan, iterations=tableau.iterations, _tableau=tableau)
         if status == "feasible" and tableau.iterate(tableau.asm.cost, cap) == "optimal":
             return _optimal(tableau, lower, upper)
     except (MintPlanError, np.linalg.LinAlgError):
@@ -513,16 +560,18 @@ def solve_lp(
 
     Binary markers are ignored, so binaries range over their [0, 1]
     bounds. ``bounds_override`` maps column index to a (lower, upper)
-    pair and is how branch-and-bound fixes binaries. ``warm_start``, an
-    optimal result of this problem object under other bounds, makes the
-    solve reoptimize from that basis by dual simplex; any other
-    ``warm_start``, or a failed reoptimization, gives the cold solve. The default iteration budget is
-    50 * (rows + columns) per phase; exceeding it raises
-    IterationCapExceeded rather than returning a wrong answer.
+    pair and is how branch-and-bound fixes binaries. ``warm_start``, a
+    result of this problem object that ``can_warm_start`` (an optimal or
+    dual-proven infeasible one under other bounds, or the problem's
+    ``slack_start``), makes the solve reoptimize from that basis by dual
+    simplex; any other ``warm_start``, or a failed reoptimization, gives
+    the cold solve. The default iteration budget is 50 * (rows + columns)
+    per phase; exceeding it raises IterationCapExceeded rather than
+    returning a wrong answer.
     """
     cap = iteration_cap if iteration_cap is not None else 50 * (len(problem.rows) + len(problem.columns))
     start = _start_from(problem, warm_start)
-    asm = start.asm if start is not None else _Assembly(problem)
+    asm = start.asm if start is not None else _assembly(problem)
     lower, upper = asm.bounds(bounds_override)
     if np.any(~np.isfinite(lower) & ~np.isfinite(upper)):
         raise MintPlanError("columns unbounded in both directions are not supported")

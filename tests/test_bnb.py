@@ -24,7 +24,7 @@ from mintplan import (
     random_instance,
     solve_mip,
 )
-from mintplan import bnb
+from mintplan import bnb, lpsolve
 
 
 def load_fixture(name: str):
@@ -272,6 +272,29 @@ def test_warm_started_enumeration_matches_cold_solves(monkeypatch):
         exhaustive_objective(build(*random_instance(rng)))
     assert compared == 20 * 324
     assert warm > compared // 2
+
+
+def test_enumeration_without_a_feasible_assignment_solves_nothing_cold(monkeypatch):
+    """The first LP starts the dual from the slack basis and each proof
+    of infeasibility hands its basis on, so a draw whose 324 LPs are all
+    infeasible needs no cold solve."""
+    rng = np.random.default_rng(7)
+    random_instance(rng)  # the second draw is the one with no feasible assignment
+    problem = build(*random_instance(rng))
+    cold_solves = 0
+    solve_cold = lpsolve._solve_cold
+
+    def counted(*args):
+        nonlocal cold_solves
+        cold_solves += 1
+        return solve_cold(*args)
+
+    monkeypatch.setattr(lpsolve, "_solve_cold", counted)
+    status, objective = exhaustive_objective(problem)
+    assert status == "infeasible" and math.isnan(objective)
+    assert cold_solves == 0
+    assert solve_mip(problem).status == "infeasible"
+    assert cold_solves > 0  # the tree search still solves cold
 
 
 PIVOT_PATH = Path(__file__).parent / "golden" / "pivot_path.json"

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mintplan import IterationCapExceeded, LpResult, MintPlanError, Row, StandardFormProblem, VariableIndex, solve_lp
+from mintplan import IterationCapExceeded, LpResult, MintPlanError, Row, StandardFormProblem, VariableIndex, build, random_instance, solve_lp
 from mintplan import lpsolve
 
 from oracles import lp_oracle, random_lp
@@ -258,6 +258,118 @@ def test_warm_start_without_rows():
     assert warm.status == "optimal" and warm.basis == ()
     assert warm.objective == -5.0 and warm.x[0] == 5.0
     assert warm.iterations == 0  # the reduced cost alone puts x at its upper bound
+
+
+def test_slack_start_runs_the_dual_from_the_first_solve(monkeypatch):
+    # with x fixed at 5 the row misses by 1: the dual proves it with no
+    # cold solve, and the proof carries its basis on to the next solve
+    rows = [Row("r[0]", ((0, 1.0), (1, 1.0)), "<=", 4.0)]
+    problem = small_lp([1.0, -1.0], rows, [0.0, 0.0], [10.0, 10.0])
+    colds = [solve_lp(problem, bounds_override={0: (v, v)}) for v in (5.0, 3.0)]
+    monkeypatch.setattr(lpsolve, "_solve_cold", lambda *args: pytest.fail("fell back to a cold solve"))
+    infeasible = solve_lp(problem, bounds_override={0: (5.0, 5.0)}, warm_start=lpsolve.slack_start(problem))
+    assert infeasible.status == colds[0].status == "infeasible"
+    assert math.isnan(infeasible.objective) and infeasible.x is None
+    assert infeasible.can_warm_start
+    warm = solve_lp(problem, bounds_override={0: (3.0, 3.0)}, warm_start=infeasible)
+    assert warm.status == colds[1].status == "optimal"
+    assert warm.objective == pytest.approx(colds[1].objective, abs=1e-9)
+
+
+def test_long_chain_through_infeasible_results_matches_cold(monkeypatch):
+    """Infeasible results hand their basis on without a refactorization,
+    so the count of product-form updates must carry across restarts:
+    along a chain of more than REFACTOR_EVERY pivots, the inverse is
+    still refactored after at most that many updates."""
+    problem = build(*random_instance(np.random.default_rng(2026), horizon=3, n_denoms=3))
+    fixings = np.random.default_rng(0).integers(0, 2, (100, len(problem.binaries)))
+    overrides = [{col: (float(v), float(v)) for col, v in zip(problem.binaries, row)} for row in fixings]
+    colds = [solve_lp(problem, bounds_override=override) for override in overrides]
+    # every infeasible LP first, then every feasible one
+    order = sorted(range(len(overrides)), key=lambda i: colds[i].status != "infeasible")
+    pivots = updates = longest = 0
+    pivot, inv = lpsolve._Tableau._pivot, np.linalg.inv
+
+    def counted_pivot(self, pos, dq):
+        nonlocal pivots, updates, longest
+        pivots += 1
+        updates += 1
+        longest = max(longest, updates)
+        pivot(self, pos, dq)
+
+    def counted_inv(matrix):
+        nonlocal updates
+        updates = 0
+        return inv(matrix)
+
+    monkeypatch.setattr(lpsolve._Tableau, "_pivot", counted_pivot)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    last = lpsolve.slack_start(problem)  # one chain: each solve restarts from the last
+    for i in order:
+        if colds[i].status == "optimal" and last.status == "infeasible":
+            assert pivots > lpsolve.REFACTOR_EVERY  # the infeasible run
+        res = solve_lp(problem, bounds_override=overrides[i], warm_start=last)
+        assert res.status == colds[i].status
+        if res.status == "optimal":
+            assert res.objective == pytest.approx(colds[i].objective, abs=1e-9)
+        assert res.can_warm_start
+        last = res
+    assert {cold.status for cold in colds} == {"infeasible", "optimal"}
+    assert longest <= lpsolve.REFACTOR_EVERY
+
+
+def test_slack_start_that_is_not_dual_feasible_falls_back_to_cold():
+    # y has cost -2 and an infinite upper bound, which it would prefer
+    rows = [Row("r[0]", ((0, 1.0), (1, 1.0)), "<=", 4.0)]
+    problem = small_lp([-1.0, -2.0], rows, [0.0, 0.0], [10.0, math.inf])
+    start = lpsolve.slack_start(problem)
+    assert start.status == "unsolved" and start.can_warm_start
+    warm = solve_lp(problem, warm_start=start)
+    assert same_result(warm, solve_lp(problem))
+    assert warm.objective == pytest.approx(-8.0, abs=1e-12)
+
+
+def test_starts_of_another_problem_object_solve_cold():
+    problem = three_rows_lp()
+    other = replace(problem)
+    fixed = {0: (6.0, 6.0)}  # past r[0]'s right-hand side: infeasible
+    proved = solve_lp(other, bounds_override=fixed, warm_start=lpsolve.slack_start(other))
+    assert proved.status == "infeasible" and proved.can_warm_start
+    for start in (lpsolve.slack_start(other), proved):
+        assert same_result(solve_lp(problem, warm_start=start), solve_lp(problem))
+        assert same_result(solve_lp(problem, bounds_override=fixed, warm_start=start), solve_lp(problem, bounds_override=fixed))
+
+
+def test_cold_solves_of_one_problem_assemble_it_once(monkeypatch):
+    assembled = []
+    init = lpsolve._Assembly.__init__
+
+    def counted(self, problem):
+        assembled.append(problem)
+        init(self, problem)
+
+    monkeypatch.setattr(lpsolve._Assembly, "__init__", counted)
+    problem = three_rows_lp()
+    for value in (None, 1.0, 2.0, 6.0):
+        solve_lp(problem, bounds_override=None if value is None else {0: (value, value)})
+    assert assembled == [problem]
+    equal = replace(problem)  # equal, but another object
+    solve_lp(equal)
+    solve_lp(problem)
+    assert [p is problem for p in assembled] == [True, False, True]
+
+
+def test_worst_violation_names_the_largest():
+    rows = [
+        Row("r[0]", ((0, 1.0),), "<=", 1.0),
+        Row("r[1]", ((1, 1.0),), ">=", 5.0),
+        Row("r[2]", ((0, 1.0), (1, 1.0)), "=", 6.0),
+    ]
+    asm = lpsolve._Assembly(small_lp([0.0, 0.0], rows, [0.0, 0.0], [10.0, 10.0]))
+    assert asm.worst_violation(np.array([2.0, 1.0])) == (1, 4.0)  # r[0] by 1, r[1] by 4, r[2] by 3
+    assert asm.worst_violation(np.array([2.0, 9.0])) == (2, 5.0)  # r[0] by 1, r[2] by 5
+    assert asm.worst_violation(np.array([3.0, 5.0])) == (0, 2.0)  # r[0] and r[2] both by 2
+    assert asm.worst_violation(np.array([1.0 + 5e-8, 5.0])) is None
 
 
 def screen_spy(monkeypatch) -> list:
