@@ -84,10 +84,11 @@ def _branch_and_bound(
     problem: StandardFormProblem,
     *,
     node_budget: list,
-    pruning: bool,
     fixed: dict | None,
 ) -> np.ndarray | None:
     base_override = {col: (float(v), float(v)) for col, v in (fixed or {}).items()}
+    if any(not problem.lower[col] <= v <= problem.upper[col] for col, (v, _) in base_override.items()):
+        return None  # a fix outside the model's bounds, such as a forbidden level
 
     def solve_node(override: dict):
         node_budget[0] -= 1
@@ -104,19 +105,11 @@ def _branch_and_bound(
 
     heap = [(objective, 0, base_override, x)]
     seq = 1
-    best_x: np.ndarray | None = None
-    best_obj = math.inf
     while heap:
         bound, _, override, x = heapq.heappop(heap)
-        if pruning and best_x is not None and bound >= best_obj - 1e-6:
-            break
         col = _branch_column(problem, x)
         if col is None:
-            if best_x is None or bound < best_obj - 1e-12:
-                best_obj, best_x = bound, x
-            if pruning:
-                break  # best-first: nothing left can beat this bound
-            continue
+            return x  # best-first: no open node has a smaller bound
         for value in (0.0, 1.0):
             child = dict(override)
             child[col] = (value, value)
@@ -124,11 +117,9 @@ def _branch_and_bound(
             if status != "optimal":
                 continue
             assert objective >= bound - 1e-6, "child bound fell below its parent"
-            if pruning and best_x is not None and objective >= best_obj - 1e-6:
-                continue
             heapq.heappush(heap, (objective, seq, child, child_x))
             seq += 1
-    return best_x
+    return None
 
 
 def _shifts_from_binaries(problem: StandardFormProblem, x: np.ndarray) -> ShiftSelection:
@@ -186,19 +177,18 @@ def solve_mip(
     problem: StandardFormProblem,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    pruning: bool = True,
     fixed: dict | None = None,
 ) -> Solution:
     """Solve the model to optimality over its binaries.
 
     ``fixed`` maps binary columns to forced 0/1 values (used by the
-    integerizer's shift escalation). ``pruning=False`` disables the
-    incumbent bound test and explores the whole tree, which is only
-    useful for validating the search itself.
+    integerizer's shift escalation). A value outside the column's model
+    bounds, such as 1 on a level a ``forbid_extra_*`` restriction fixed
+    at 0, makes the solution infeasible.
     """
     budget = [node_cap]
     if problem.mode == "combined":
-        x = _branch_and_bound(problem, node_budget=budget, pruning=pruning, fixed=fixed)
+        x = _branch_and_bound(problem, node_budget=budget, fixed=fixed)
         if x is None:
             return Solution(status="infeasible", objective=math.nan, cost=math.nan, k=math.nan)
         return _extract_solution(problem, x)
@@ -207,7 +197,7 @@ def solve_mip(
     cost_objective = list(problem.objective)
     cost_objective[problem.column_index("K")] = 0.0
     phase1 = replace(problem, objective=tuple(cost_objective))
-    x1 = _branch_and_bound(phase1, node_budget=budget, pruning=pruning, fixed=fixed)
+    x1 = _branch_and_bound(phase1, node_budget=budget, fixed=fixed)
     if x1 is None:
         return Solution(status="infeasible", objective=math.nan, cost=math.nan, k=math.nan)
     best_cost = float(sum(problem.objective[col] * round(x1[col]) for col in problem.binaries))
@@ -223,7 +213,7 @@ def solve_mip(
         rhs=best_cost,
     )
     phase2 = replace(problem, objective=tuple(k_objective), rows=problem.rows + (lock,))
-    x2 = _branch_and_bound(phase2, node_budget=budget, pruning=pruning, fixed=fixed)
+    x2 = _branch_and_bound(phase2, node_budget=budget, fixed=fixed)
     if x2 is None:  # the phase-1 point satisfies the lock, so this cannot happen
         raise MintPlanError("cost-locked second pass lost feasibility")
     return _extract_solution(problem, x2)
@@ -237,25 +227,6 @@ def _row_capacity(breaks: Sequence[float], level: int) -> float:
     if level == 0:
         return breaks[0]
     return breaks[0] + (breaks[level] - breaks[level - 1])
-
-
-def _audit_levels(solution: Solution, scenario: Scenario, config: MintConfig) -> dict:
-    """Shift levels to audit against, per process and quarter: the
-    solution's minimal levels, raised where a level's one-step row
-    capacity cannot cover the usage its own breakpoint allows."""
-    levels: dict[str, list[int]] = {}
-    for process in ("blanking", "annealing", "striking"):
-        n_levels = len(config.level_costs(process))
-        out = []
-        for t in range(scenario.horizon):
-            breaks = costs_mod.scaled_breakpoints(config, scenario.disruptions, t, process)
-            use = costs_mod.usage(solution.plan.orders[t], scenario.coin_specs).for_process(process)
-            lvl = solution.shifts.levels(process)[t]
-            while lvl < n_levels and use > _row_capacity(breaks, lvl) + BOUNDARY_TOL:
-                lvl += 1
-            out.append(lvl)
-        levels[process] = out
-    return levels
 
 
 class _Repair:
@@ -276,14 +247,12 @@ class _Repair:
         near = np.abs(scaled - snapped) <= 1e-7
         self.f = np.where(near, snapped, np.floor(scaled + 1e-12)) * granularity
 
-        levels = _audit_levels(solution, scenario, config)
         self.caps = []  # per quarter: dict process -> usage ceiling at the kept selection
-        self.levels = levels
         for t in range(scenario.horizon):
             per = {}
             for process in ("blanking", "annealing", "striking"):
                 breaks = costs_mod.scaled_breakpoints(config, scenario.disruptions, t, process)
-                lvl = levels[process][t]
+                lvl = solution.shifts.levels(process)[t]
                 per[process] = min(_row_capacity(breaks, lvl), breaks[lvl])
             self.caps.append(per)
 
@@ -642,7 +611,7 @@ def integerize(
             )
             problem = mip_mod.build(scenario, config, solution.injections, k_max=k_max)
             for t_e, process in ordered:
-                new_level = work.levels[process][t_e] + 1
+                new_level = solution.shifts.levels(process)[t_e] + 1
                 if new_level > n_levels[process]:
                     continue
                 kind = _KIND_OF_PROCESS[process]
@@ -695,12 +664,14 @@ def exhaustive_objective(problem: StandardFormProblem) -> tuple[str, float]:
 
     Assignments switching two levels of the same ladder on in one
     quarter are skipped: the model's own choice rows make their LPs
-    infeasible, so they can never carry the optimum. Every LP runs the
-    dual simplex: the first from the slack basis (``slack_start``), each
-    later one from the last result that carries a dual-feasible basis,
-    whether optimal or proved infeasible, since neighbouring assignments
-    differ in a few bounds. A failed warm start falls back to a cold
-    solve.
+    infeasible, so they can never carry the optimum. Levels whose upper
+    bound is 0 (a ``forbid_extra_*`` restriction) are never switched on:
+    each LP fixes the binaries through a bounds override, which replaces
+    the model's own bounds. Every LP runs the dual simplex: the first
+    from the slack basis (``slack_start``), each later one from the last
+    result that carries a dual-feasible basis, whether optimal or proved
+    infeasible, since neighbouring assignments differ in a few bounds. A
+    failed warm start falls back to a cold solve.
     Exponential in the horizon; meant for validating the tree search on
     tiny instances.
     """
@@ -711,7 +682,8 @@ def exhaustive_objective(problem: StandardFormProblem) -> tuple[str, float]:
     options = []
     for key in sorted(families):
         cols = sorted(families[key])
-        options.append([None] + cols)  # switch no level on, or exactly one
+        # switch no level on, or exactly one the model's bounds allow
+        options.append([None] + [col for col in cols if problem.upper[col] > 0.0])
 
     best_key = None
     best_objective = math.nan

@@ -14,8 +14,10 @@ The objective charges every selected extra level and rewards ``K``.
 Capacity rows let at most one extra level per process and quarter raise
 the free base capacity by that level's increment; inventory rows tie
 stocks to orders and demand; floor, vault, and terminal rows bound the
-stocks. First-quarter restrictions (force the base capacity to be fully
-used, or forbid extra levels) can be injected as extra rows.
+stocks. First-quarter restrictions can be injected: forcing the base
+capacity to be fully used adds an equality row, and forbidding a
+process's extra levels zeroes the upper bounds of that quarter's level
+binaries.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ ROW_FAMILIES = (
     "operating_floor",
 )
 
-#: Families added only through injection.
+#: Injected restriction kinds: the ``force_base_*`` kinds add a row
+#: labeled after the restriction, the ``forbid_extra_*`` kinds fix the
+#: quarter's level binaries at 0 through their upper bounds.
 INJECTED_FAMILIES = (
     "force_base_striking",
     "force_base_blanking",
@@ -177,9 +181,13 @@ class StandardFormProblem:
     ``mode`` records how the two objective parts are ordered when the
     instance cannot settle it in one pass: ``combined`` minimizes
     ``cost - K`` directly, ``lexicographic`` minimizes cost first and
-    then maximizes K with the cost pinned. ``scenario`` and ``config``
-    keep the building context for solution extraction; they are carried
-    for convenience and excluded from equality.
+    then maximizes K with the cost pinned. ``injected`` lists the
+    restrictions the model was built with: a ``force_base_*`` one is the
+    row of the same label, a ``forbid_extra_*`` one the zero upper bounds
+    of its quarter's level binaries (nothing else gives a binary a zero
+    upper bound). ``scenario`` and ``config`` keep the building context
+    for solution extraction; they are carried for convenience and
+    excluded from equality.
     """
 
     columns: tuple[VariableIndex, ...]
@@ -289,8 +297,10 @@ def build(
 ) -> StandardFormProblem:
     """Assemble the full model for one scenario.
 
-    The scenario must be clean per ``validate_scenario``; injected
-    restrictions are appended after the core rows in their given order.
+    The scenario must be clean per ``validate_scenario``. Injected
+    ``force_base_*`` rows are appended after the core rows in their given
+    order; an injected ``forbid_extra_*`` restriction sets the upper
+    bound of each of its quarter's level binaries to 0.
     """
     violations = validate_scenario(scenario)
     if violations:
@@ -463,6 +473,7 @@ def build(
             )
 
     injected = tuple(injected)
+    forbidden: list[int] = []
     for inj in injected:
         q = inj.quarter
         if not 0 <= q < T:
@@ -486,25 +497,11 @@ def build(
                 )
             )
         elif inj.kind == "forbid_extra_striking":
-            rows.append(
-                row(
-                    label=inj.label,
-                    coeffs=terms([(a(q, j), 1.0) for j in range(1, na + 1)]),
-                    relation="=",
-                    rhs=0.0,
-                )
-            )
+            forbidden.extend(a(q, j) for j in range(1, na + 1))
         elif inj.kind == "forbid_extra_blanking":
-            rows.append(
-                row(
-                    label=inj.label,
-                    coeffs=terms([(c(q, i), 1.0) for i in range(1, nc + 1)]),
-                    relation="=",
-                    rhs=0.0,
-                )
-            )
+            forbidden.extend(c(q, i) for i in range(1, nc + 1))
         else:  # forbid_extra_annealing
-            rows.append(row(label=inj.label, coeffs=terms([(h(q), 1.0)]), relation="=", rhs=0.0))
+            forbidden.append(h(q))
 
     upper = [0.0] * n_cols
     vault_cap = float(s.vault_cap)
@@ -522,6 +519,8 @@ def build(
             binaries.append(a(t, j))
     for col in binaries:
         upper[col] = 1.0
+    for col in forbidden:
+        upper[col] = 0.0
     upper[col_k] = float(k_max)
 
     return StandardFormProblem(
@@ -572,21 +571,17 @@ def objective_value(problem: StandardFormProblem, assignment: Sequence[float]) -
 # ---------------------------------------------------------------------------
 
 _BINARY_KIND_BY_PROCESS = {"blanking": "c", "annealing": "h", "striking": "a"}
-_CAPACITY_ROW_BY_PROCESS = {
-    "blanking": "blanking_capacity",
-    "annealing": "annealing_capacity",
-    "striking": "striking_capacity",
-}
+
+#: The restriction that zeroes a level binary's upper bound, by its kind.
+_FORBID_BY_KIND = {kind: f"forbid_extra_{process}" for process, kind in _BINARY_KIND_BY_PROCESS.items()}
 
 
 def assignment_from_solution(problem: StandardFormProblem, solution: Solution) -> np.ndarray:
     """Rebuild a full column assignment from a solution.
 
-    Orders, stocks, and K come straight from the solution. Binary levels
-    start at the solution's (minimal) shift selection and are raised per
-    process until the quarter's capacity row holds, since a level's row
-    capacity (base plus that level's increment) can cover less than the
-    level's own breakpoint.
+    Orders, stocks, and K come straight from the solution, and each
+    quarter's level binaries switch on the solution's shift selection.
+    ``check_solution`` tells whether the result satisfies the model.
     """
     if solution.status != "optimal":
         raise ValueError("only optimal solutions can be turned into assignments")
@@ -605,20 +600,8 @@ def assignment_from_solution(problem: StandardFormProblem, solution: Solution) -
     }
     for process in ("blanking", "annealing", "striking"):
         kind = _BINARY_KIND_BY_PROCESS[process]
-        family = _CAPACITY_ROW_BY_PROCESS[process]
-        for t in range(T):
-            row = problem.row_by_label[f"{family}[{t}]"]
-            start = solution.shifts.levels(process)[t]
-            chosen = None
-            for lvl in range(start, n_levels[process] + 1):
-                _set_level(problem, x, kind, t, lvl, n_levels[process])
-                if row.value(x) <= row.rhs + CHECK_TOL:
-                    chosen = lvl
-                    break
-            if chosen is None:
-                raise MintPlanError(
-                    f"no {process} level covers quarter {t} usage in this problem"
-                )
+        for t, level in enumerate(solution.shifts.levels(process)):
+            _set_level(problem, x, kind, t, level, n_levels[process])
     return x
 
 
@@ -644,8 +627,11 @@ def export_lp_text(problem: StandardFormProblem) -> str:
 
     The dump carries everything mathematical (columns, objective, rows,
     bounds, binaries, mode); the building scenario and config are not
-    part of the format. Floats use shortest round-tripping repr, so
-    ``parse_lp_text`` reproduces the model exactly.
+    part of the format. Injected restrictions travel as what they are in
+    the model: a ``force_base_*`` one as its labeled row, a
+    ``forbid_extra_*`` one as zero upper bounds. Floats use shortest
+    round-tripping repr, so ``parse_lp_text`` reproduces the model
+    exactly.
     """
     lines = [LP_HEADER, f"mode {problem.mode}"]
     lines.append("minimize")
@@ -686,7 +672,13 @@ def _parse_terms(text: str, column_of: dict) -> tuple[tuple[int, float], ...]:
 
 def parse_lp_text(text: str) -> StandardFormProblem:
     """Inverse of ``export_lp_text``. The result has no scenario or
-    config context attached."""
+    config context attached.
+
+    ``injected`` is recovered from the model: first the restrictions
+    whose rows appear, in row order, then one ``forbid_extra_*`` per
+    quarter and process whose level binaries have a zero upper bound,
+    in column order. So it holds the built model's restrictions, though
+    not necessarily in the order they were injected."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != LP_HEADER:
         raise LpFormatError(f"missing or unsupported header; expected {LP_HEADER!r}")
@@ -760,6 +752,12 @@ def parse_lp_text(text: str) -> StandardFormProblem:
         if ln not in column_of:
             raise LpFormatError(f"binary section references unknown column {ln!r}")
         binaries.append(column_of[ln])
+    for col in sorted(binaries):
+        var = columns[col]
+        if upper[col] == 0.0 and var.kind in _FORBID_BY_KIND:
+            forbid = InjectedConstraint(kind=_FORBID_BY_KIND[var.kind], quarter=var.quarter)
+            if forbid not in injected:
+                injected.append(forbid)
 
     return StandardFormProblem(
         columns=tuple(columns),

@@ -179,6 +179,31 @@ def _perfect_forecast(history: Sequence[EpochInput], epoch: int, horizon: int, n
     return np.vstack(rows)
 
 
+def _within_top_capacity(
+    order: np.ndarray,
+    config: MintConfig,
+    disruptions: Sequence[Disruption],
+    quarter: int,
+    specs: Sequence[CoinSpec],
+) -> np.ndarray:
+    """The order scaled down, when some process would run past its top
+    effective capacity, until every process fits."""
+    u = costs_mod.usage(order, specs)
+    scale = 1.0
+    for process in PROCESSES:
+        top = scaled_breakpoints(config, disruptions, quarter, process)[-1]
+        val = u.for_process(process)
+        if val > top:
+            scale = min(scale, top / val)
+    return order * scale
+
+
+def _bill(levels: Sequence[int], config: MintConfig) -> float:
+    """Extra-shift bill of one quarter's (blanking, annealing, striking)
+    levels, summed in process order as ``costs.usage_cost`` sums it."""
+    return sum((config.level_costs(process)[lvl - 1] for process, lvl in zip(PROCESSES, levels) if lvl > 0), 0.0)
+
+
 def _fallback_order(
     inventory: np.ndarray,
     forecast0: np.ndarray,
@@ -193,14 +218,7 @@ def _fallback_order(
     solved: order what the floor and expected demand require, scaled
     down to the top effective capacity when needed."""
     need = np.maximum(0.0, forecast0 + floor0 - inventory)
-    u = costs_mod.usage(need, specs)
-    scale = 1.0
-    for process in PROCESSES:
-        top = scaled_breakpoints(config, disruptions, quarter, process)[-1]
-        val = u.for_process(process)
-        if val > top:
-            scale = min(scale, top / val if val > 0 else 0.0)
-    need = need * scale
+    need = _within_top_capacity(need, config, disruptions, quarter, specs)
     return np.floor(need / granularity + 1e-12) * granularity
 
 
@@ -327,8 +345,8 @@ def run_simulation(
 
         orders[e] = order
         u = costs_mod.usage(order, specs)
-        quarter_costs[e] = costs_mod.usage_cost(u, config, settings.disruptions, e)
         levels = costs_mod.usage_levels(u, config, settings.disruptions, e)
+        quarter_costs[e] = _bill(levels, config)
         for process, lvl in zip(PROCESSES, levels):
             if lvl > 0:
                 extended_counts[process] += 1
@@ -393,23 +411,25 @@ def compare(
     annotations: list[str] = []
     for t in range(n):
         u = costs_mod.usage(baseline[t], coin_specs)
-        total = 0.0
-        for process in PROCESSES:
-            breaks = scaled_breakpoints(config, report.disruptions, t, process)
-            level_costs = config.level_costs(process)
-            used = u.for_process(process)
+        used = [u.for_process(process) for process in PROCESSES]
+        topped = {}
+        while True:
             try:
-                lvl = costs_mod._step_level(used, breaks, process, t)
-            except costs_mod.CapacityExceededError:
-                lvl = len(level_costs)
+                levels = costs_mod.usage_levels(costs_mod.ResourceUsage(*used), config, report.disruptions, t)
+                break
+            except costs_mod.CapacityExceededError as err:
+                # charge the top level, and level the other processes without this one
                 annotations.append(
-                    f"baseline quarter {t}: {process} usage {used:g} exceeds the top capacity "
-                    f"{breaks[-1]:g}; charged the top level"
+                    f"baseline quarter {t}: {err.process} usage {err.usage:g} exceeds the top capacity "
+                    f"{err.limit:g}; charged the top level"
                 )
+                topped[err.process] = len(config.level_costs(err.process))
+                used[PROCESSES.index(err.process)] = 0.0
+        levels = [topped.get(process, lvl) for process, lvl in zip(PROCESSES, levels)]
+        baseline_costs[t] = _bill(levels, config)
+        for process, lvl in zip(PROCESSES, levels):
             if lvl > 0:
-                total += level_costs[lvl - 1]
                 baseline_extended[process] += 1
-        baseline_costs[t] = total
 
     model_total = report.total_cost
     baseline_total = float(baseline_costs.sum())
@@ -531,14 +551,7 @@ def generate_synthetic_scenario(
     for t in range(n):
         floor_t = realized[t] * settings.floor_fraction
         need = np.maximum(0.0, realized[t] + floor_t - inv)
-        u = costs_mod.usage(need, specs)
-        scale = 1.0
-        for process in PROCESSES:
-            top = scaled_breakpoints(config, disruptions, t, process)[-1]
-            val = u.for_process(process)
-            if val > top:
-                scale = min(scale, top / val)
-        baseline[t] = need * scale
+        baseline[t] = _within_top_capacity(need, config, disruptions, t, specs)
         inv = inv + baseline[t] - realized[t]
 
     return SyntheticScenario(

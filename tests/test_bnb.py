@@ -83,18 +83,32 @@ def test_matches_exhaustive_enumeration_on_random_instances():
     assert statuses["optimal"] >= 10
 
 
-def test_pruning_off_finds_the_same_objective():
-    rng = np.random.default_rng(17)
-    compared = 0
-    while compared < 8:
-        scenario, config = random_instance(rng, horizon=1)
-        problem = build(scenario, config)
-        fast = solve_mip(problem, pruning=True)
-        full = solve_mip(problem, pruning=False)
-        assert fast.status == full.status
-        if fast.status == "optimal":
-            assert fast.objective == pytest.approx(full.objective, abs=1e-7)
-            compared += 1
+def test_enumeration_skips_forbidden_levels():
+    """Forbid restrictions are zero upper bounds, and the enumeration
+    fixes binaries through bounds overrides: it must still leave those
+    levels off, or it finds optima the restricted model does not have."""
+    rng = np.random.default_rng(11)
+    kinds = ("forbid_extra_striking", "forbid_extra_blanking", "forbid_extra_annealing")
+    for _ in range(60):
+        scenario, config = random_instance(rng)
+        injected = tuple(
+            InjectedConstraint(kinds[int(rng.integers(3))], int(rng.integers(2)))
+            for _ in range(int(rng.integers(1, 3)))
+        )
+        problem = build(scenario, config, injected)
+        want_status, want_objective = exhaustive_objective(problem)
+        got = solve_mip(problem)
+        assert got.status == want_status
+        if want_status == "optimal":
+            assert got.objective == pytest.approx(want_objective, abs=1e-6)
+
+
+def test_a_fix_on_a_forbidden_level_is_infeasible():
+    scenario, config = load_fixture("tiny.json")
+    problem = build(scenario, config, (InjectedConstraint("forbid_extra_striking", 0),))
+    col = problem.column_index("a", 0, 1)
+    assert solve_mip(problem, fixed={col: 1.0}).status == "infeasible"
+    assert solve_mip(problem, fixed={col: 0.0}).status == "optimal"
 
 
 def test_node_cap_is_enforced():

@@ -1,5 +1,7 @@
 """Model assembly: rows, columns, bounds, and the LP text format."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from mintplan import (
     check_solution,
     choose_mode,
     export_lp_text,
+    load_scenario,
     objective_value,
     parse_lp_text,
 )
@@ -196,11 +199,10 @@ def test_injected_constraints_add_labeled_rows():
         InjectedConstraint("forbid_extra_annealing", 0),
     )
     problem2 = build(scenario, CFG1, injected=forbid_all)
-    row2 = problem2.row_by_label["forbid_extra_striking[0]"]
-    assert row2.relation == "=" and row2.rhs == 0.0
-    assert {col for col, _ in row2.coeffs} == {4}
-    assert {col for col, _ in problem2.row_by_label["forbid_extra_blanking[0]"].coeffs} == {2}
-    assert {col for col, _ in problem2.row_by_label["forbid_extra_annealing[0]"].coeffs} == {3}
+    for col in (2, 3, 4):  # c[0,1], h[0], a[0,1]
+        assert (problem2.lower[col], problem2.upper[col]) == (0.0, 0.0)
+    assert not any(row.label.startswith("forbid_extra_") for row in problem2.rows)
+    assert problem2.rows == build(scenario, CFG1).rows
 
     with pytest.raises(ValueError):
         InjectedConstraint("force_maximum_striking", 0)
@@ -240,6 +242,32 @@ def test_lp_text_round_trip_is_exact():
     assert parsed.binaries == problem.binaries
     assert parsed.mode == problem.mode
     assert parsed.injected == problem.injected
+    assert export_lp_text(parsed) == text
+
+
+def test_lp_text_round_trip_keeps_forbid_restrictions():
+    """A forbid restriction travels as zero upper bounds in the text;
+    parsing recovers it from them, after the row-borne restrictions."""
+    text = resources.files("mintplan").joinpath("fixtures/tiny.json").read_text()
+    scenario, cfg = load_scenario(text)
+    injected = (
+        InjectedConstraint("forbid_extra_striking", 1),
+        InjectedConstraint("force_base_striking", 0),
+        InjectedConstraint("forbid_extra_blanking", 0),
+        InjectedConstraint("forbid_extra_annealing", 1),
+    )
+    problem = build(scenario, cfg, injected=injected)
+    text = export_lp_text(problem)
+    assert "forbid_extra" not in text
+    parsed = parse_lp_text(text)
+    assert parsed.columns == problem.columns
+    assert parsed.objective == problem.objective
+    assert parsed.rows == problem.rows
+    assert parsed.lower == problem.lower
+    assert parsed.upper == problem.upper
+    assert parsed.binaries == problem.binaries
+    assert parsed.injected[0] == InjectedConstraint("force_base_striking", 0)
+    assert set(parsed.injected) == set(injected) and len(parsed.injected) == len(injected)
     assert export_lp_text(parsed) == text
 
 
