@@ -26,7 +26,7 @@ import numpy as np
 from . import costs as costs_mod
 from . import mip as mip_mod
 from .lpsolve import slack_start, solve_lp
-from .mip import DEFAULT_K_MAX, InjectedConstraint, Row, StandardFormProblem
+from .mip import DEFAULT_K_MAX, Row, StandardFormProblem
 from .model import (
     BOUNDARY_TOL,
     CoinSpec,
@@ -229,6 +229,25 @@ def _row_capacity(breaks: Sequence[float], level: int) -> float:
     return breaks[0] + (breaks[level] - breaks[level - 1])
 
 
+def _audit_levels(solution: Solution, scenario: Scenario, config: MintConfig) -> dict:
+    """Shift levels to audit against, per process and quarter: the
+    solution's minimal levels, raised where a level's one-step row
+    capacity cannot cover the usage its own breakpoint allows."""
+    levels: dict[str, list[int]] = {}
+    for process in ("blanking", "annealing", "striking"):
+        n_levels = len(config.level_costs(process))
+        out = []
+        for t in range(scenario.horizon):
+            breaks = costs_mod.scaled_breakpoints(config, scenario.disruptions, t, process)
+            use = costs_mod.usage(solution.plan.orders[t], scenario.coin_specs).for_process(process)
+            lvl = solution.shifts.levels(process)[t]
+            while lvl < n_levels and use > _row_capacity(breaks, lvl) + BOUNDARY_TOL:
+                lvl += 1
+            out.append(lvl)
+        levels[process] = out
+    return levels
+
+
 class _Repair:
     """Working state for the greedy plan repair."""
 
@@ -247,12 +266,14 @@ class _Repair:
         near = np.abs(scaled - snapped) <= 1e-7
         self.f = np.where(near, snapped, np.floor(scaled + 1e-12)) * granularity
 
+        levels = _audit_levels(solution, scenario, config)
         self.caps = []  # per quarter: dict process -> usage ceiling at the kept selection
+        self.levels = levels
         for t in range(scenario.horizon):
             per = {}
             for process in ("blanking", "annealing", "striking"):
                 breaks = costs_mod.scaled_breakpoints(config, scenario.disruptions, t, process)
-                lvl = solution.shifts.levels(process)[t]
+                lvl = levels[process][t]
                 per[process] = min(_row_capacity(breaks, lvl), breaks[lvl])
             self.caps.append(per)
 
@@ -611,7 +632,7 @@ def integerize(
             )
             problem = mip_mod.build(scenario, config, solution.injections, k_max=k_max)
             for t_e, process in ordered:
-                new_level = solution.shifts.levels(process)[t_e] + 1
+                new_level = work.levels[process][t_e] + 1
                 if new_level > n_levels[process]:
                     continue
                 kind = _KIND_OF_PROCESS[process]

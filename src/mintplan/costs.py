@@ -77,7 +77,9 @@ def usage(order: Sequence[float], specs: Sequence[CoinSpec]) -> ResourceUsage:
     )
 
 
-def _step_level(value: float, breaks: Sequence[float], process: str, quarter: int | None) -> int:
+def step_level(value: float, breaks: Sequence[float], process: str, quarter: int | None) -> int:
+    """Minimal level whose breakpoint covers ``value`` (0 for the base),
+    raising ``CapacityExceededError`` past the top breakpoint."""
     # intervals are right-closed: value == breaks[i] still belongs to level i
     if value <= breaks[0] + BOUNDARY_TOL:
         return 0
@@ -88,7 +90,7 @@ def _step_level(value: float, breaks: Sequence[float], process: str, quarter: in
 
 
 def _step_cost(value: float, breaks: Sequence[float], level_costs: Sequence[float], process: str, quarter: int | None) -> float:
-    lvl = _step_level(value, breaks, process, quarter)
+    lvl = step_level(value, breaks, process, quarter)
     return 0.0 if lvl == 0 else float(level_costs[lvl - 1])
 
 
@@ -133,7 +135,7 @@ def usage_levels(
     out = []
     for process in ("blanking", "annealing", "striking"):
         breaks = scaled_breakpoints(config, disruptions, quarter, process)
-        out.append(_step_level(u.for_process(process), breaks, process, quarter))
+        out.append(step_level(u.for_process(process), breaks, process, quarter))
     return tuple(out)
 
 

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -35,9 +34,7 @@ import numpy as np
 from .model import (
     MintConfig,
     MintPlanError,
-    MintingPlan,
     Scenario,
-    ShiftSelection,
     Solution,
     scaled_breakpoints,
     validate_scenario,
@@ -571,6 +568,11 @@ def objective_value(problem: StandardFormProblem, assignment: Sequence[float]) -
 # ---------------------------------------------------------------------------
 
 _BINARY_KIND_BY_PROCESS = {"blanking": "c", "annealing": "h", "striking": "a"}
+_CAPACITY_ROW_BY_PROCESS = {
+    "blanking": "blanking_capacity",
+    "annealing": "annealing_capacity",
+    "striking": "striking_capacity",
+}
 
 #: The restriction that zeroes a level binary's upper bound, by its kind.
 _FORBID_BY_KIND = {kind: f"forbid_extra_{process}" for process, kind in _BINARY_KIND_BY_PROCESS.items()}
@@ -579,9 +581,11 @@ _FORBID_BY_KIND = {kind: f"forbid_extra_{process}" for process, kind in _BINARY_
 def assignment_from_solution(problem: StandardFormProblem, solution: Solution) -> np.ndarray:
     """Rebuild a full column assignment from a solution.
 
-    Orders, stocks, and K come straight from the solution, and each
-    quarter's level binaries switch on the solution's shift selection.
-    ``check_solution`` tells whether the result satisfies the model.
+    Orders, stocks, and K come straight from the solution. Binary levels
+    start at the solution's (minimal) shift selection and are raised per
+    process until the quarter's capacity row holds, since a level's row
+    capacity (base plus that level's increment) can cover less than the
+    level's own breakpoint.
     """
     if solution.status != "optimal":
         raise ValueError("only optimal solutions can be turned into assignments")
@@ -600,8 +604,20 @@ def assignment_from_solution(problem: StandardFormProblem, solution: Solution) -
     }
     for process in ("blanking", "annealing", "striking"):
         kind = _BINARY_KIND_BY_PROCESS[process]
-        for t, level in enumerate(solution.shifts.levels(process)):
-            _set_level(problem, x, kind, t, level, n_levels[process])
+        family = _CAPACITY_ROW_BY_PROCESS[process]
+        for t in range(T):
+            row = problem.row_by_label[f"{family}[{t}]"]
+            start = solution.shifts.levels(process)[t]
+            chosen = None
+            for lvl in range(start, n_levels[process] + 1):
+                _set_level(problem, x, kind, t, lvl, n_levels[process])
+                if row.value(x) <= row.rhs + CHECK_TOL:
+                    chosen = lvl
+                    break
+            if chosen is None:
+                raise MintPlanError(
+                    f"no {process} level covers quarter {t} usage in this problem"
+                )
     return x
 
 
@@ -676,9 +692,11 @@ def parse_lp_text(text: str) -> StandardFormProblem:
 
     ``injected`` is recovered from the model: first the restrictions
     whose rows appear, in row order, then one ``forbid_extra_*`` per
-    quarter and process whose level binaries have a zero upper bound,
-    in column order. So it holds the built model's restrictions, though
-    not necessarily in the order they were injected."""
+    quarter and process whose level binaries all have a zero upper
+    bound, in column order. So it holds the built model's restrictions,
+    though not necessarily in the order they were injected; zero upper
+    bounds on only part of a ladder are kept as bounds and recover no
+    restriction."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != LP_HEADER:
         raise LpFormatError(f"missing or unsupported header; expected {LP_HEADER!r}")
@@ -752,12 +770,14 @@ def parse_lp_text(text: str) -> StandardFormProblem:
         if ln not in column_of:
             raise LpFormatError(f"binary section references unknown column {ln!r}")
         binaries.append(column_of[ln])
+    ladders: dict[tuple[str, int], list[int]] = {}  # (kind, quarter) -> level binaries
     for col in sorted(binaries):
         var = columns[col]
-        if upper[col] == 0.0 and var.kind in _FORBID_BY_KIND:
-            forbid = InjectedConstraint(kind=_FORBID_BY_KIND[var.kind], quarter=var.quarter)
-            if forbid not in injected:
-                injected.append(forbid)
+        if var.kind in _FORBID_BY_KIND:
+            ladders.setdefault((var.kind, var.quarter), []).append(col)
+    for (kind, quarter), cols in ladders.items():
+        if all(upper[col] == 0.0 for col in cols):
+            injected.append(InjectedConstraint(kind=_FORBID_BY_KIND[kind], quarter=quarter))
 
     return StandardFormProblem(
         columns=tuple(columns),

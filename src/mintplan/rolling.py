@@ -198,12 +198,6 @@ def _within_top_capacity(
     return order * scale
 
 
-def _bill(levels: Sequence[int], config: MintConfig) -> float:
-    """Extra-shift bill of one quarter's (blanking, annealing, striking)
-    levels, summed in process order as ``costs.usage_cost`` sums it."""
-    return sum((config.level_costs(process)[lvl - 1] for process, lvl in zip(PROCESSES, levels) if lvl > 0), 0.0)
-
-
 def _fallback_order(
     inventory: np.ndarray,
     forecast0: np.ndarray,
@@ -345,8 +339,8 @@ def run_simulation(
 
         orders[e] = order
         u = costs_mod.usage(order, specs)
+        quarter_costs[e] = costs_mod.usage_cost(u, config, settings.disruptions, e)
         levels = costs_mod.usage_levels(u, config, settings.disruptions, e)
-        quarter_costs[e] = _bill(levels, config)
         for process, lvl in zip(PROCESSES, levels):
             if lvl > 0:
                 extended_counts[process] += 1
@@ -411,25 +405,23 @@ def compare(
     annotations: list[str] = []
     for t in range(n):
         u = costs_mod.usage(baseline[t], coin_specs)
-        used = [u.for_process(process) for process in PROCESSES]
-        topped = {}
-        while True:
+        total = 0.0
+        for process in PROCESSES:
+            breaks = scaled_breakpoints(config, report.disruptions, t, process)
+            level_costs = config.level_costs(process)
+            used = u.for_process(process)
             try:
-                levels = costs_mod.usage_levels(costs_mod.ResourceUsage(*used), config, report.disruptions, t)
-                break
-            except costs_mod.CapacityExceededError as err:
-                # charge the top level, and level the other processes without this one
+                lvl = costs_mod.step_level(used, breaks, process, t)
+            except costs_mod.CapacityExceededError:
+                lvl = len(level_costs)
                 annotations.append(
-                    f"baseline quarter {t}: {err.process} usage {err.usage:g} exceeds the top capacity "
-                    f"{err.limit:g}; charged the top level"
+                    f"baseline quarter {t}: {process} usage {used:g} exceeds the top capacity "
+                    f"{breaks[-1]:g}; charged the top level"
                 )
-                topped[err.process] = len(config.level_costs(err.process))
-                used[PROCESSES.index(err.process)] = 0.0
-        levels = [topped.get(process, lvl) for process, lvl in zip(PROCESSES, levels)]
-        baseline_costs[t] = _bill(levels, config)
-        for process, lvl in zip(PROCESSES, levels):
             if lvl > 0:
+                total += level_costs[lvl - 1]
                 baseline_extended[process] += 1
+        baseline_costs[t] = total
 
     model_total = report.total_cost
     baseline_total = float(baseline_costs.sum())

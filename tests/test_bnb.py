@@ -201,6 +201,42 @@ def test_integerize_reports_vault_blocked_repair():
     assert info.value.partial_plan is not None  # the snapped plan is still reported
 
 
+def test_a_ladder_whose_top_step_grows_audits_and_repairs():
+    """Striking (10, 20, 22, 60): usage 21 lies in level 2 by breakpoint,
+    but a level's row capacity is the base plus its own step, so level
+    2 covers only 12 and the model switches level 3 on. The rebuilt
+    assignment and the repair caps must follow the model's level."""
+    scenario = Scenario(
+        horizon=1,
+        coin_specs=(
+            CoinSpec("d1", alloy_weight=2.5, blanking_rate=0.2),
+            CoinSpec("d2", alloy_weight=5.0, blanking_rate=0.25),
+        ),
+        demand=[[10.0, 10.0]],
+        operating_floor=[[0.5, 0.0]],
+        vault_cap=1.0,
+        safety_min=[0.0, 0.0],
+        initial_inventory=[0.0, 0.0],
+    )
+    config = MintConfig(
+        blanking_breakpoints=(100.0, 120.0),
+        blanking_costs=(4.0,),
+        annealing_base=1000.0,
+        annealing_max=1200.0,
+        annealing_cost=6.0,
+        striking_breakpoints=(10.0, 20.0, 22.0, 60.0),
+        striking_costs=(1.0, 2.0, 3.0),
+    )
+    problem = build(scenario, config)
+    sol = solve_mip(problem)
+    assert sol.status == "optimal"
+    assert sol.plan.orders.sum() == pytest.approx(21.0, abs=1e-9)
+    assert sol.shifts.striking == (2,)
+    assert check_solution(problem, assignment_from_solution(problem, sol)) == []
+    whole = integerize(sol, scenario, config, granularity=1.0)
+    assert whole.plan.orders.tolist() == [[11.0, 10.0]]
+
+
 def test_integerize_swaps_stock_inside_a_pinned_quarter():
     """With the coin total pinned, flooring and the total's restoration
     can leave one denomination under its stock floor while another holds

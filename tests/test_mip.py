@@ -271,6 +271,19 @@ def test_lp_text_round_trip_keeps_forbid_restrictions():
     assert export_lp_text(parsed) == text
 
 
+def test_lp_text_partly_zeroed_ladder_recovers_no_forbid():
+    """Only a whole ladder at upper bound 0 is a forbid restriction; a
+    zero upper bound on one level stays a bound and nothing more."""
+    text = resources.files("mintplan").joinpath("fixtures/tiny.json").read_text()
+    scenario, cfg = load_scenario(text)
+    problem = build(scenario, cfg, injected=(InjectedConstraint("forbid_extra_striking", 1),))
+    text = export_lp_text(problem)
+    assert "0.0 <= a[0,2] <= 1.0" in text
+    parsed = parse_lp_text(text.replace("0.0 <= a[0,2] <= 1.0", "0.0 <= a[0,2] <= 0.0"))
+    assert parsed.upper[parsed.column_index("a", 0, 2)] == 0.0
+    assert parsed.injected == (InjectedConstraint("forbid_extra_striking", 1),)
+
+
 def test_lp_text_survives_awkward_floats():
     scenario = Scenario(
         horizon=1,
