@@ -150,25 +150,13 @@ def _extract_solution(problem: StandardFormProblem, x: np.ndarray) -> Solution:
     plan = MintingPlan(orders=orders, inventory=inventory)
     k = float(x[problem.column_index("K")])
     cost = float(sum(problem.objective[col] * round(x[col]) for col in problem.binaries))
-
-    shifts = None
-    if problem.scenario is not None and problem.config is not None:
-        try:
-            shifts = costs_mod.minimal_shifts(
-                plan, problem.scenario.coin_specs, problem.config, problem.scenario.disruptions
-            )
-        except costs_mod.CapacityExceededError:
-            shifts = None  # boundary noise: fall back to the solver's own selection
-    if shifts is None:
-        shifts = _shifts_from_binaries(problem, x)
-
     return Solution(
         status="optimal",
         objective=cost - k,
         cost=cost,
         k=k,
         plan=plan,
-        shifts=shifts,
+        shifts=_shifts_from_binaries(problem, x),
         injections=problem.injected,
     )
 
@@ -224,28 +212,11 @@ def solve_mip(
 # ---------------------------------------------------------------------------
 
 def _row_capacity(breaks: Sequence[float], level: int) -> float:
+    """The capacity a level has in the model's rows: the base plus that
+    level's own step."""
     if level == 0:
         return breaks[0]
     return breaks[0] + (breaks[level] - breaks[level - 1])
-
-
-def _audit_levels(solution: Solution, scenario: Scenario, config: MintConfig) -> dict:
-    """Shift levels to audit against, per process and quarter: the
-    solution's minimal levels, raised where a level's one-step row
-    capacity cannot cover the usage its own breakpoint allows."""
-    levels: dict[str, list[int]] = {}
-    for process in ("blanking", "annealing", "striking"):
-        n_levels = len(config.level_costs(process))
-        out = []
-        for t in range(scenario.horizon):
-            breaks = costs_mod.scaled_breakpoints(config, scenario.disruptions, t, process)
-            use = costs_mod.usage(solution.plan.orders[t], scenario.coin_specs).for_process(process)
-            lvl = solution.shifts.levels(process)[t]
-            while lvl < n_levels and use > _row_capacity(breaks, lvl) + BOUNDARY_TOL:
-                lvl += 1
-            out.append(lvl)
-        levels[process] = out
-    return levels
 
 
 class _Repair:
@@ -266,15 +237,12 @@ class _Repair:
         near = np.abs(scaled - snapped) <= 1e-7
         self.f = np.where(near, snapped, np.floor(scaled + 1e-12)) * granularity
 
-        levels = _audit_levels(solution, scenario, config)
         self.caps = []  # per quarter: dict process -> usage ceiling at the kept selection
-        self.levels = levels
         for t in range(scenario.horizon):
             per = {}
             for process in ("blanking", "annealing", "striking"):
                 breaks = costs_mod.scaled_breakpoints(config, scenario.disruptions, t, process)
-                lvl = levels[process][t]
-                per[process] = min(_row_capacity(breaks, lvl), breaks[lvl])
+                per[process] = _row_capacity(breaks, solution.shifts.levels(process)[t])
             self.caps.append(per)
 
         self.pinned: dict[int, set[str]] = {}
@@ -598,12 +566,14 @@ def integerize(
     on the grid are kept). Pinned first-quarter totals from injected
     restrictions are rebuilt first, then stock floors are repaired by
     greedily adding granules at the largest deficit, never crossing the
-    kept shift selection's capacity; inside quarters whose total is
-    pinned, granules are traded between denominations instead. When no
-    increment can be placed within capacity, the smallest helpful
-    higher shift level is forced, the model is re-solved, and the cost
-    delta is reported in notes; a repair blocked by the vault alone (or
-    by pinned stock with nothing to trade) raises RepairInfeasibleError.
+    capacity the model's rows give the solution's shift levels; inside
+    quarters whose total is pinned, granules are traded between
+    denominations instead. When no increment can be placed within
+    capacity, the next level above the solution's is forced, the model
+    is re-solved, and the cost delta is reported in notes; a repair
+    blocked by the vault alone (or by pinned stock with nothing to
+    trade) raises RepairInfeasibleError. The result keeps the cost and
+    shifts of the solution it repaired, not those of its usage.
     """
     if solution.status != "optimal":
         raise ValueError("only optimal solutions can be integerized")
@@ -632,7 +602,7 @@ def integerize(
             )
             problem = mip_mod.build(scenario, config, solution.injections, k_max=k_max)
             for t_e, process in ordered:
-                new_level = work.levels[process][t_e] + 1
+                new_level = solution.shifts.levels(process)[t_e] + 1
                 if new_level > n_levels[process]:
                     continue
                 kind = _KIND_OF_PROCESS[process]

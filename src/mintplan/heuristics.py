@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bnb as bnb_mod
 from . import costs as costs_mod
 from . import mip as mip_mod

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -182,9 +182,8 @@ class StandardFormProblem:
     restrictions the model was built with: a ``force_base_*`` one is the
     row of the same label, a ``forbid_extra_*`` one the zero upper bounds
     of its quarter's level binaries (nothing else gives a binary a zero
-    upper bound). ``scenario`` and ``config`` keep the building context
-    for solution extraction; they are carried for convenience and
-    excluded from equality.
+    upper bound). The problem is the whole model: solving it needs no
+    scenario or config, so a parsed dump solves as the built model does.
     """
 
     columns: tuple[VariableIndex, ...]
@@ -195,8 +194,6 @@ class StandardFormProblem:
     binaries: tuple[int, ...]
     mode: str = "combined"
     injected: tuple[InjectedConstraint, ...] = ()
-    scenario: Scenario | None = field(default=None, compare=False, repr=False)
-    config: MintConfig | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.columns)
@@ -529,8 +526,6 @@ def build(
         binaries=tuple(sorted(binaries)),
         mode=choose_mode(cfg, T, k_max),
         injected=injected,
-        scenario=scenario,
-        config=config,
     )
 
 
@@ -568,11 +563,6 @@ def objective_value(problem: StandardFormProblem, assignment: Sequence[float]) -
 # ---------------------------------------------------------------------------
 
 _BINARY_KIND_BY_PROCESS = {"blanking": "c", "annealing": "h", "striking": "a"}
-_CAPACITY_ROW_BY_PROCESS = {
-    "blanking": "blanking_capacity",
-    "annealing": "annealing_capacity",
-    "striking": "striking_capacity",
-}
 
 #: The restriction that zeroes a level binary's upper bound, by its kind.
 _FORBID_BY_KIND = {kind: f"forbid_extra_{process}" for process, kind in _BINARY_KIND_BY_PROCESS.items()}
@@ -581,11 +571,8 @@ _FORBID_BY_KIND = {kind: f"forbid_extra_{process}" for process, kind in _BINARY_
 def assignment_from_solution(problem: StandardFormProblem, solution: Solution) -> np.ndarray:
     """Rebuild a full column assignment from a solution.
 
-    Orders, stocks, and K come straight from the solution. Binary levels
-    start at the solution's (minimal) shift selection and are raised per
-    process until the quarter's capacity row holds, since a level's row
-    capacity (base plus that level's increment) can cover less than the
-    level's own breakpoint.
+    Orders, stocks, K, and each ladder's level binaries come straight
+    from the solution.
     """
     if solution.status != "optimal":
         raise ValueError("only optimal solutions can be turned into assignments")
@@ -603,21 +590,8 @@ def assignment_from_solution(problem: StandardFormProblem, solution: Solution) -
         "striking": problem.n_striking_levels,
     }
     for process in ("blanking", "annealing", "striking"):
-        kind = _BINARY_KIND_BY_PROCESS[process]
-        family = _CAPACITY_ROW_BY_PROCESS[process]
-        for t in range(T):
-            row = problem.row_by_label[f"{family}[{t}]"]
-            start = solution.shifts.levels(process)[t]
-            chosen = None
-            for lvl in range(start, n_levels[process] + 1):
-                _set_level(problem, x, kind, t, lvl, n_levels[process])
-                if row.value(x) <= row.rhs + CHECK_TOL:
-                    chosen = lvl
-                    break
-            if chosen is None:
-                raise MintPlanError(
-                    f"no {process} level covers quarter {t} usage in this problem"
-                )
+        for t, level in enumerate(solution.shifts.levels(process)):
+            _set_level(problem, x, _BINARY_KIND_BY_PROCESS[process], t, level, n_levels[process])
     return x
 
 
@@ -641,9 +615,8 @@ def _terms_text(problem: StandardFormProblem, pairs: Iterable[tuple[int, float]]
 def export_lp_text(problem: StandardFormProblem) -> str:
     """Serialize the model to the versioned text form.
 
-    The dump carries everything mathematical (columns, objective, rows,
-    bounds, binaries, mode); the building scenario and config are not
-    part of the format. Injected restrictions travel as what they are in
+    The dump carries the whole model (columns, objective, rows, bounds,
+    binaries, mode). Injected restrictions travel as what they are in
     the model: a ``force_base_*`` one as its labeled row, a
     ``forbid_extra_*`` one as zero upper bounds. Floats use shortest
     round-tripping repr, so ``parse_lp_text`` reproduces the model
@@ -687,8 +660,7 @@ def _parse_terms(text: str, column_of: dict) -> tuple[tuple[int, float], ...]:
 
 
 def parse_lp_text(text: str) -> StandardFormProblem:
-    """Inverse of ``export_lp_text``. The result has no scenario or
-    config context attached.
+    """Inverse of ``export_lp_text``.
 
     ``injected`` is recovered from the model: first the restrictions
     whose rows appear, in row order, then one ``forbid_extra_*`` per

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -241,6 +241,10 @@ class Solution:
 
     ``cost`` is the extra-shift bill alone; ``objective`` equals
     ``cost - k`` where ``k`` is the achieved safety-stock multiplier.
+    ``shifts`` holds the levels the optimizer's binaries switched on, so
+    ``cost`` is their ``shift_cost``; on a ladder whose steps grow, a
+    level can sit above the plan's ``minimal_shifts``, because the model
+    gives level j the base plus that level's own step.
     ``injections`` records the first-quarter restrictions the producing
     model carried, and ``notes`` holds human-readable solver remarks
     (escalations, repairs).

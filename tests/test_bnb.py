@@ -19,9 +19,12 @@ from mintplan import (
     build,
     check_solution,
     exhaustive_objective,
+    export_lp_text,
     integerize,
     load_scenario,
+    parse_lp_text,
     random_instance,
+    shift_cost,
     solve_mip,
 )
 from mintplan import bnb, lpsolve
@@ -125,7 +128,8 @@ def test_fixed_binaries_are_respected():
     col = problem.column_index("h", 0)  # force a pointless annealing shift
     forced = solve_mip(problem, fixed={col: 1.0})
     assert forced.status == "optimal"
-    assert forced.shifts.annealing[0] == 1 or forced.cost >= base.cost + 6.0 - 1e-9
+    assert forced.shifts.annealing[0] == 1
+    assert shift_cost(forced.shifts, config) == forced.cost
     assert forced.cost == pytest.approx(base.cost + 6.0, abs=1e-6)
 
 
@@ -201,11 +205,8 @@ def test_integerize_reports_vault_blocked_repair():
     assert info.value.partial_plan is not None  # the snapped plan is still reported
 
 
-def test_a_ladder_whose_top_step_grows_audits_and_repairs():
-    """Striking (10, 20, 22, 60): usage 21 lies in level 2 by breakpoint,
-    but a level's row capacity is the base plus its own step, so level
-    2 covers only 12 and the model switches level 3 on. The rebuilt
-    assignment and the repair caps must follow the model's level."""
+def growing_ladder():
+    """One quarter striking 21 coins on the ladder (10, 20, 22, 60)."""
     scenario = Scenario(
         horizon=1,
         coin_specs=(
@@ -227,14 +228,49 @@ def test_a_ladder_whose_top_step_grows_audits_and_repairs():
         striking_breakpoints=(10.0, 20.0, 22.0, 60.0),
         striking_costs=(1.0, 2.0, 3.0),
     )
+    return scenario, config
+
+
+def test_a_ladder_whose_top_step_grows_reports_the_models_level():
+    """Striking (10, 20, 22, 60): usage 21 lies in level 2 by breakpoint,
+    but a level's row capacity is the base plus its own step, so level
+    2 covers only 12 and the model switches level 3 on. The solution
+    reports and prices that level, and the rebuilt assignment and the
+    repair caps follow it."""
+    scenario, config = growing_ladder()
     problem = build(scenario, config)
     sol = solve_mip(problem)
     assert sol.status == "optimal"
     assert sol.plan.orders.sum() == pytest.approx(21.0, abs=1e-9)
-    assert sol.shifts.striking == (2,)
+    assert sol.shifts.striking == (3,)
+    assert sol.cost == shift_cost(sol.shifts, config) == 3.0
     assert check_solution(problem, assignment_from_solution(problem, sol)) == []
     whole = integerize(sol, scenario, config, granularity=1.0)
     assert whole.plan.orders.tolist() == [[11.0, 10.0]]
+
+
+def test_built_and_parsed_models_solve_alike():
+    """A model and its LP text dump solve to the same answer, whose cost
+    is the step cost of the shifts it reports."""
+    cases = [(*growing_ladder(), None)]
+    tiny, tiny_config = load_fixture("tiny.json")
+    cases.append((tiny, tiny_config, ("h", 0)))  # an annealing shift the plan does not need
+    rng = np.random.default_rng(2026)
+    cases.extend((*random_instance(rng), None) for _ in range(20))
+    optimal = 0
+    for scenario, config, forced in cases:
+        built = build(scenario, config)
+        parsed = parse_lp_text(export_lp_text(built))
+        fixed = None if forced is None else {built.column_index(*forced): 1.0}
+        a, b = solve_mip(built, fixed=fixed), solve_mip(parsed, fixed=fixed)
+        assert a.status == b.status
+        if a.status != "optimal":
+            continue
+        optimal += 1
+        assert (a.cost, a.k, a.shifts) == (b.cost, b.k, b.shifts)
+        assert a.cost == shift_cost(a.shifts, config)
+        assert check_solution(built, assignment_from_solution(built, a)) == []
+    assert optimal == 18
 
 
 def test_integerize_swaps_stock_inside_a_pinned_quarter():
