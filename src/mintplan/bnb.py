@@ -19,14 +19,11 @@ import heapq
 import math
 from dataclasses import replace
 from itertools import product
-from typing import Sequence
 
 import numpy as np
 
-from . import costs as costs_mod
-from . import mip as mip_mod
 from .lpsolve import slack_start, solve_lp
-from .mip import DEFAULT_K_MAX, Row, StandardFormProblem
+from .mip import Row, StandardFormProblem, level_capacity
 from .model import (
     BOUNDARY_TOL,
     CoinSpec,
@@ -211,20 +208,11 @@ def solve_mip(
 # integerization
 # ---------------------------------------------------------------------------
 
-def _row_capacity(breaks: Sequence[float], level: int) -> float:
-    """The capacity a level has in the model's rows: the base plus that
-    level's own step."""
-    if level == 0:
-        return breaks[0]
-    return breaks[0] + (breaks[level] - breaks[level - 1])
-
-
 class _Repair:
     """Working state for the greedy plan repair."""
 
-    def __init__(self, solution: Solution, scenario: Scenario, config: MintConfig, granularity: float):
+    def __init__(self, problem: StandardFormProblem, solution: Solution, scenario: Scenario, granularity: float):
         self.s = scenario
-        self.cfg = config
         self.g = granularity
         self.rates = np.array([sp.blanking_rate for sp in scenario.coin_specs])
         self.weights = np.array([sp.alloy_weight for sp in scenario.coin_specs])
@@ -237,20 +225,18 @@ class _Repair:
         near = np.abs(scaled - snapped) <= 1e-7
         self.f = np.where(near, snapped, np.floor(scaled + 1e-12)) * granularity
 
-        self.caps = []  # per quarter: dict process -> usage ceiling at the kept selection
-        for t in range(scenario.horizon):
-            per = {}
-            for process in ("blanking", "annealing", "striking"):
-                breaks = costs_mod.scaled_breakpoints(config, scenario.disruptions, t, process)
-                per[process] = _row_capacity(breaks, solution.shifts.levels(process)[t])
-            self.caps.append(per)
+        self.caps = [  # per quarter: process -> usage ceiling at the kept selection
+            {
+                process: level_capacity(problem, process, t, solution.shifts.levels(process)[t])
+                for process in ("blanking", "annealing", "striking")
+            }
+            for t in range(scenario.horizon)
+        ]
 
-        self.pinned: dict[int, set[str]] = {}
-        for inj in solution.injections:
-            if inj.kind == "force_base_striking":
-                self.pinned.setdefault(inj.quarter, set()).add("striking")
-            elif inj.kind == "force_base_blanking":
-                self.pinned.setdefault(inj.quarter, set()).add("blanking")
+        self.pinned: dict[int, dict[str, float]] = {}  # quarter -> process -> pinned usage
+        for inj in problem.injected:
+            if inj.kind.startswith("force_base_"):
+                self.pinned.setdefault(inj.quarter, {})[inj.process] = problem.row_by_label[inj.label].rhs
 
     def inventory(self) -> np.ndarray:
         flows = np.cumsum(self.f - self.s.demand, axis=0)
@@ -296,8 +282,9 @@ class _Repair:
 
     # -- injected-equality restoration ------------------------------------
 
-    def restore_equalities(self, injections) -> list[str]:
-        """Rebuild the exact first-quarter totals that flooring broke.
+    def restore_equalities(self) -> list[str]:
+        """Rebuild the exact first-quarter totals that flooring broke, at
+        the right-hand sides of the problem's ``force_base_*`` rows.
 
         Striking targets are met with whole granules plus at most one
         fractional top-up; blanking targets get one fractional top-up
@@ -305,21 +292,14 @@ class _Repair:
         descriptions of targets that could not be restored.
         """
         unresolved = []
-        by_quarter: dict[int, set] = {}
-        for inj in injections:
-            if inj.kind in ("force_base_striking", "force_base_blanking"):
-                by_quarter.setdefault(inj.quarter, set()).add(inj.kind)
-        for q in sorted(by_quarter):
-            kinds = by_quarter[q]
-            if "force_base_striking" in kinds:
-                target = costs_mod.scaled_breakpoints(self.cfg, self.s.disruptions, q, "striking")[0]
-                if not self._restore_total(q, target):
+        for q in sorted(self.pinned):
+            targets = self.pinned[q]
+            if "striking" in targets:
+                if not self._restore_total(q, targets["striking"]):
                     unresolved.append(f"force_base_striking[{q}]")
                     continue
-            if "force_base_blanking" in kinds:
-                target = costs_mod.scaled_breakpoints(self.cfg, self.s.disruptions, q, "blanking")[0]
-                pinned_total = "force_base_striking" in kinds
-                if not self._restore_weighted(q, target, pinned_total):
+            if "blanking" in targets:
+                if not self._restore_weighted(q, targets["blanking"], "striking" in targets):
                     unresolved.append(f"force_base_blanking[{q}]")
         return unresolved
 
@@ -423,7 +403,7 @@ class _Repair:
         Trades may be fractional. Returns (made progress, capacity
         blocks seen)."""
         D = self.f.shape[1]
-        kinds = self.pinned[t_add]
+        kinds = self.pinned[t_add].keys()
         blocks: list[tuple[int, str]] = []
 
         def attempt(delta: np.ndarray, moved: float) -> bool:
@@ -551,37 +531,39 @@ class _Repair:
 
 
 def integerize(
+    problem: StandardFormProblem,
     solution: Solution,
     scenario: Scenario,
-    config: MintConfig,
     *,
     granularity: float = 1.0,
-    k_max: float = DEFAULT_K_MAX,
     node_cap: int = DEFAULT_NODE_CAP,
     _depth: int = 0,
 ) -> Solution:
     """Round a relaxed plan to production granules and repair the damage.
 
+    ``solution`` must be an optimal solve of ``problem``, the model built
+    from ``scenario`` with any restrictions ``restrict`` added; the
+    repair reads its capacities and pinned totals off that model's rows.
     Orders are floored to multiples of ``granularity`` (values already
-    on the grid are kept). Pinned first-quarter totals from injected
-    restrictions are rebuilt first, then stock floors are repaired by
-    greedily adding granules at the largest deficit, never crossing the
-    capacity the model's rows give the solution's shift levels; inside
-    quarters whose total is pinned, granules are traded between
-    denominations instead. When no increment can be placed within
-    capacity, the next level above the solution's is forced, the model
-    is re-solved, and the cost delta is reported in notes; a repair
-    blocked by the vault alone (or by pinned stock with nothing to
-    trade) raises RepairInfeasibleError. The result keeps the cost and
-    shifts of the solution it repaired, not those of its usage.
+    on the grid are kept). Pinned first-quarter totals are rebuilt
+    first, then stock floors are repaired by greedily adding granules at
+    the largest deficit, never crossing the capacity the model's rows
+    give the solution's shift levels; inside quarters whose total is
+    pinned, granules are traded between denominations instead. When no
+    increment can be placed within capacity, the next level above the
+    solution's is forced, ``problem`` is re-solved, and the cost delta is
+    reported in notes; a repair blocked by the vault alone (or by pinned
+    stock with nothing to trade) raises RepairInfeasibleError. The result
+    keeps the cost and shifts of the solution it repaired, not those of
+    its usage.
     """
     if solution.status != "optimal":
         raise ValueError("only optimal solutions can be integerized")
-    if not granularity > 0:
-        raise ValueError(f"granularity must be positive, got {granularity}")
+    if not (math.isfinite(granularity) and granularity > 0):
+        raise ValueError(f"granularity must be finite and positive, got {granularity}")
 
-    work = _Repair(solution, scenario, config, granularity)
-    unresolved = work.restore_equalities(solution.injections)
+    work = _Repair(problem, solution, scenario, granularity)
+    unresolved = work.restore_equalities()
     for label in unresolved:
         work.notes.append(f"could not restore injected equality {label}")
     blocked = work.repair_floors()
@@ -589,18 +571,17 @@ def integerize(
     if blocked is not None:
         # an empty block list means nothing capacity-shaped stood in the
         # way (vault or pinned stock), so no higher shift level can help
-        max_depth = 2 + scenario.horizon * (config.n_blanking_levels + config.n_striking_levels + 1)
+        max_depth = 2 + problem.horizon * (problem.n_blanking_levels + problem.n_striking_levels + 1)
         if blocked and _depth < max_depth:
             n_levels = {
-                "blanking": config.n_blanking_levels,
+                "blanking": problem.n_blanking_levels,
                 "annealing": 1,
-                "striking": config.n_striking_levels,
+                "striking": problem.n_striking_levels,
             }
             ordered = sorted(
                 blocked,
                 key=lambda pair: (_BRANCH_RANK[_KIND_OF_PROCESS[pair[1]]], -pair[0]),
             )
-            problem = mip_mod.build(scenario, config, solution.injections, k_max=k_max)
             for t_e, process in ordered:
                 new_level = solution.shifts.levels(process)[t_e] + 1
                 if new_level > n_levels[process]:
@@ -623,11 +604,10 @@ def integerize(
                     ),
                 )
                 return integerize(
+                    problem,
                     escalated,
                     scenario,
-                    config,
                     granularity=granularity,
-                    k_max=k_max,
                     node_cap=node_cap,
                     _depth=_depth + 1,
                 )

@@ -116,6 +116,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if (args.input is None) == (args.synthetic is None):
         print("simulate needs exactly one of INPUT or --synthetic SEED", file=sys.stderr)
         return USAGE_ERROR
+    if args.baseline and args.synthetic is None:
+        print("--baseline needs a synthetic run (no baseline policy in input files)", file=sys.stderr)
+        return USAGE_ERROR
     baseline_orders = None
     if args.synthetic is not None:
         bundle = generate_synthetic_scenario(args.synthetic)
@@ -142,10 +145,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     report = run_simulation(history, config, specs, settings)
     summary = None
-    if args.baseline and baseline_orders is None:
-        print("--baseline needs a synthetic run (no baseline policy in input files)", file=sys.stderr)
-        return USAGE_ERROR
-    if baseline_orders is not None and args.baseline:
+    if args.baseline:
         summary = compare(report, baseline_orders, config, specs)
 
     text = report_csv(report, summary)

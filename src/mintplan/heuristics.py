@@ -15,8 +15,10 @@ when it does not hurt:
   restricted model is still feasible, deferring the spend until the
   forecast firms up.
 
-Accepted restrictions accumulate: each acceptance replaces the working
-model, so later guards are evaluated against the already-restricted
+The procedures take the unrestricted model the plan was solved on: each
+restricted variant is ``mip.restrict`` of it, and base capacities are
+read off its rows. Accepted restrictions accumulate: each acceptance replaces the working
+plan, so later guards are evaluated against the already-restricted
 plan, and the solution's ``injections`` field carries the final set.
 """
 
@@ -28,8 +30,8 @@ from . import bnb as bnb_mod
 from . import costs as costs_mod
 from . import mip as mip_mod
 from .bnb import DEFAULT_NODE_CAP, RepairInfeasibleError
-from .mip import DEFAULT_K_MAX, InjectedConstraint
-from .model import BOUNDARY_TOL, MintConfig, Scenario, Solution, scaled_breakpoints
+from .mip import DEFAULT_K_MAX, InjectedConstraint, StandardFormProblem
+from .model import BOUNDARY_TOL, MintConfig, Scenario, Solution
 
 #: Cost drift allowed when calling a restricted solution "no worse".
 ACCEPT_TOL = 1e-6
@@ -53,67 +55,63 @@ def _blanking_tolerance(scenario: Scenario, granularity: float) -> float:
     return max(ACCEPT_TOL, granularity * max_rate + BOUNDARY_TOL)
 
 
-def _injections_hold(solution: Solution, scenario: Scenario, config: MintConfig, granularity: float) -> bool:
+def _injections_hold(solution: Solution, model: StandardFormProblem, scenario: Scenario, granularity: float) -> bool:
     """Whether the integerized plan still honors every injected
-    restriction. Pinned coin totals must hold tightly; pinned blanking
-    loads get one granule of slack; forbidden extras mean the quarter's
-    usage stays within base capacity."""
+    restriction, against the base capacities of ``model``'s rows. Pinned
+    coin totals must hold tightly; pinned blanking loads get one granule
+    of slack; forbidden extras mean the quarter's usage stays within
+    base capacity."""
     for inj in solution.injections:
-        q = inj.quarter
-        use = costs_mod.usage(solution.plan.orders[q], scenario.coin_specs)
+        base = mip_mod.level_capacity(model, inj.process, inj.quarter, 0)
+        use = costs_mod.usage(solution.plan.orders[inj.quarter], scenario.coin_specs).for_process(inj.process)
         if inj.kind == "force_base_striking":
-            target = scaled_breakpoints(config, scenario.disruptions, q, "striking")[0]
-            if abs(use.striking_count - target) > ACCEPT_TOL:
+            if abs(use - base) > ACCEPT_TOL:
                 return False
         elif inj.kind == "force_base_blanking":
-            target = scaled_breakpoints(config, scenario.disruptions, q, "blanking")[0]
-            if abs(use.blanking_days - target) > _blanking_tolerance(scenario, granularity):
+            if abs(use - base) > _blanking_tolerance(scenario, granularity):
                 return False
-        else:
-            process = inj.kind.removeprefix("forbid_extra_")
-            base = scaled_breakpoints(config, scenario.disruptions, q, process)[0]
-            if use.for_process(process) > base + ACCEPT_TOL:
-                return False
+        elif use > base + ACCEPT_TOL:
+            return False
     return True
 
 
 def _solve_restricted(
     scenario: Scenario,
-    config: MintConfig,
+    model: StandardFormProblem,
     injections: tuple[InjectedConstraint, ...],
     *,
     granularity: float,
-    k_max: float,
     node_cap: int,
 ) -> Solution | None:
-    """Full pipeline under the given injections, or None when the
-    restricted model is infeasible or cannot be repaired."""
-    problem = mip_mod.build(scenario, config, injections, k_max=k_max)
+    """Full pipeline on the unrestricted ``model`` under the given
+    injections, or None when the restricted model is infeasible or
+    cannot be repaired."""
+    problem = mip_mod.restrict(model, injections)
     sol = bnb_mod.solve_mip(problem, node_cap=node_cap)
     if sol.status != "optimal":
         return None
     try:
-        sol = bnb_mod.integerize(sol, scenario, config, granularity=granularity, k_max=k_max, node_cap=node_cap)
+        sol = bnb_mod.integerize(problem, sol, scenario, granularity=granularity, node_cap=node_cap)
     except RepairInfeasibleError:
         return None
-    if not _injections_hold(sol, scenario, config, granularity):
+    if not _injections_hold(sol, model, scenario, granularity):
         return None
     return sol
 
 
 def procedure1(
     scenario: Scenario,
-    config: MintConfig,
+    model: StandardFormProblem,
     solution: Solution,
     *,
     strict_objective: bool = False,
     granularity: float = 1.0,
-    k_max: float = DEFAULT_K_MAX,
     node_cap: int = DEFAULT_NODE_CAP,
     events: list | None = None,
 ) -> Solution:
     """Fill unused first-quarter base capacity when it costs nothing.
 
+    ``model`` is the unrestricted model ``solution`` was solved on.
     Checks striking first, then blanking against the current plan. Each
     firing guard re-solves with the base capacity pinned to full use
     and accepts only when the extra-shift bill is unchanged (with
@@ -125,16 +123,15 @@ def procedure1(
         raise ValueError("procedure1 needs an optimal solution to refine")
     current = solution
     for process, kind in (("striking", "force_base_striking"), ("blanking", "force_base_blanking")):
-        base = scaled_breakpoints(config, scenario.disruptions, 0, process)[0]
+        base = mip_mod.level_capacity(model, process, 0, 0)
         use = costs_mod.usage(current.plan.orders[0], scenario.coin_specs).for_process(process)
         if not use < base - BOUNDARY_TOL:
             continue
         candidate = _solve_restricted(
             scenario,
-            config,
+            model,
             current.injections + (InjectedConstraint(kind=kind, quarter=0),),
             granularity=granularity,
-            k_max=k_max,
             node_cap=node_cap,
         )
         if candidate is None:
@@ -167,17 +164,17 @@ def procedure1(
 
 def procedure2(
     scenario: Scenario,
-    config: MintConfig,
+    model: StandardFormProblem,
     solution: Solution,
     *,
     granularity: float = 1.0,
-    k_max: float = DEFAULT_K_MAX,
     node_cap: int = DEFAULT_NODE_CAP,
     events: list | None = None,
 ) -> Solution:
     """Postpone paid first-quarter capacity when feasibility allows.
 
-    For each process whose first quarter sits on a paid level, re-solve
+    ``model`` is the unrestricted model ``solution`` was solved on. For
+    each process whose first quarter sits on a paid level, re-solve
     with that process restricted to base capacity in the first quarter
     and accept whenever the restricted model stays feasible. When no
     paid level is active the input solution is returned untouched.
@@ -194,10 +191,9 @@ def procedure2(
             continue
         candidate = _solve_restricted(
             scenario,
-            config,
+            model,
             current.injections + (InjectedConstraint(kind=kind, quarter=0),),
             granularity=granularity,
-            k_max=k_max,
             node_cap=node_cap,
         )
         accepted = candidate is not None
@@ -220,7 +216,7 @@ def procedure2(
 
 def run_heuristics(
     scenario: Scenario,
-    config: MintConfig,
+    model: StandardFormProblem,
     solution: Solution,
     *,
     use_proc1: bool = True,
@@ -228,7 +224,6 @@ def run_heuristics(
     order: str = "proc2-first",
     strict_objective: bool = False,
     granularity: float = 1.0,
-    k_max: float = DEFAULT_K_MAX,
     node_cap: int = DEFAULT_NODE_CAP,
     events: list | None = None,
 ) -> Solution:
@@ -245,21 +240,19 @@ def run_heuristics(
         if step == "proc1" and use_proc1:
             current = procedure1(
                 scenario,
-                config,
+                model,
                 current,
                 strict_objective=strict_objective,
                 granularity=granularity,
-                k_max=k_max,
                 node_cap=node_cap,
                 events=events,
             )
         elif step == "proc2" and use_proc2:
             current = procedure2(
                 scenario,
-                config,
+                model,
                 current,
                 granularity=granularity,
-                k_max=k_max,
                 node_cap=node_cap,
                 events=events,
             )
@@ -281,26 +274,27 @@ def solve_pipeline(
 ) -> Solution:
     """Solve, integerize, and optionally refine one scenario.
 
-    Returns an infeasible Solution when the model has no feasible
-    point; raises RepairInfeasibleError when rounding cannot be
-    repaired even with escalation.
+    Builds the model once; integerization and every restricted re-solve
+    of the refinements work on that model. Returns an infeasible
+    Solution when the model has no feasible point; raises
+    RepairInfeasibleError when rounding cannot be repaired even with
+    escalation.
     """
-    problem = mip_mod.build(scenario, config, k_max=k_max)
-    sol = bnb_mod.solve_mip(problem, node_cap=node_cap)
+    model = mip_mod.build(scenario, config, k_max=k_max)
+    sol = bnb_mod.solve_mip(model, node_cap=node_cap)
     if sol.status != "optimal":
         return sol
-    sol = bnb_mod.integerize(sol, scenario, config, granularity=granularity, k_max=k_max, node_cap=node_cap)
+    sol = bnb_mod.integerize(model, sol, scenario, granularity=granularity, node_cap=node_cap)
     if use_proc1 or use_proc2:
         sol = run_heuristics(
             scenario,
-            config,
+            model,
             sol,
             use_proc1=use_proc1,
             use_proc2=use_proc2,
             order=order,
             strict_objective=strict_objective,
             granularity=granularity,
-            k_max=k_max,
             node_cap=node_cap,
             events=events,
         )

@@ -14,17 +14,18 @@ The objective charges every selected extra level and rewards ``K``.
 Capacity rows let at most one extra level per process and quarter raise
 the free base capacity by that level's increment; inventory rows tie
 stocks to orders and demand; floor, vault, and terminal rows bound the
-stocks. First-quarter restrictions can be injected: forcing the base
-capacity to be fully used adds an equality row, and forbidding a
-process's extra levels zeroes the upper bounds of that quarter's level
-binaries.
+stocks. ``restrict`` adds first-quarter restrictions to a built model,
+reading them off its rows: forcing the base capacity to be fully used
+appends that capacity row's order terms as an equality, and forbidding
+a process's extra levels zeroes that quarter's level-binary upper
+bounds. ``level_capacity`` reads what a capacity row allows at a level.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -170,6 +171,11 @@ class InjectedConstraint:
     def label(self) -> str:
         return f"{self.kind}[{self.quarter}]"
 
+    @property
+    def process(self) -> str:
+        """The process the restriction applies to: the kind's last word."""
+        return self.kind.rsplit("_", 1)[1]
+
 
 @dataclass(frozen=True)
 class StandardFormProblem:
@@ -179,8 +185,8 @@ class StandardFormProblem:
     instance cannot settle it in one pass: ``combined`` minimizes
     ``cost - K`` directly, ``lexicographic`` minimizes cost first and
     then maximizes K with the cost pinned. ``injected`` lists the
-    restrictions the model was built with: a ``force_base_*`` one is the
-    row of the same label, a ``forbid_extra_*`` one the zero upper bounds
+    restrictions ``restrict`` added: a ``force_base_*`` one is the row of
+    the same label, a ``forbid_extra_*`` one the zero upper bounds
     of its quarter's level binaries (nothing else gives a binary a zero
     upper bound). The problem is the whole model: solving it needs no
     scenario or config, so a parsed dump solves as the built model does.
@@ -285,16 +291,13 @@ def choose_mode(config: MintConfig, horizon: int, k_max: float) -> str:
 def build(
     scenario: Scenario,
     config: MintConfig,
-    injected: Sequence[InjectedConstraint] = (),
     *,
     k_max: float = DEFAULT_K_MAX,
 ) -> StandardFormProblem:
-    """Assemble the full model for one scenario.
+    """Assemble the full, unrestricted model for one scenario.
 
-    The scenario must be clean per ``validate_scenario``. Injected
-    ``force_base_*`` rows are appended after the core rows in their given
-    order; an injected ``forbid_extra_*`` restriction sets the upper
-    bound of each of its quarter's level binaries to 0.
+    The scenario must be clean per ``validate_scenario``. ``restrict``
+    derives the restricted variants from the result.
     """
     violations = validate_scenario(scenario)
     if violations:
@@ -466,37 +469,6 @@ def build(
                 )
             )
 
-    injected = tuple(injected)
-    forbidden: list[int] = []
-    for inj in injected:
-        q = inj.quarter
-        if not 0 <= q < T:
-            raise ValueError(f"injected constraint quarter {q} outside horizon {T}")
-        if inj.kind == "force_base_striking":
-            rows.append(
-                row(
-                    label=inj.label,
-                    coeffs=terms([(f(q, d), 1.0) for d in range(D)]),
-                    relation="=",
-                    rhs=eff["striking"][q][0],
-                )
-            )
-        elif inj.kind == "force_base_blanking":
-            rows.append(
-                row(
-                    label=inj.label,
-                    coeffs=terms([(f(q, d), rates[d]) for d in range(D)]),
-                    relation="=",
-                    rhs=eff["blanking"][q][0],
-                )
-            )
-        elif inj.kind == "forbid_extra_striking":
-            forbidden.extend(a(q, j) for j in range(1, na + 1))
-        elif inj.kind == "forbid_extra_blanking":
-            forbidden.extend(c(q, i) for i in range(1, nc + 1))
-        else:  # forbid_extra_annealing
-            forbidden.append(h(q))
-
     upper = [0.0] * n_cols
     vault_cap = float(s.vault_cap)
     for t in range(T):
@@ -513,8 +485,6 @@ def build(
             binaries.append(a(t, j))
     for col in binaries:
         upper[col] = 1.0
-    for col in forbidden:
-        upper[col] = 0.0
     upper[col_k] = float(k_max)
 
     return StandardFormProblem(
@@ -525,8 +495,49 @@ def build(
         upper=tuple(upper),
         binaries=tuple(sorted(binaries)),
         mode=choose_mode(cfg, T, k_max),
-        injected=injected,
     )
+
+
+def restrict(problem: StandardFormProblem, injected: Sequence[InjectedConstraint]) -> StandardFormProblem:
+    """The model with first-quarter restrictions added, read off its own
+    rows and columns.
+
+    A ``force_base_*`` restriction appends the order terms of its
+    quarter's capacity row as an equality at that row's right-hand side,
+    labeled after the restriction; a ``forbid_extra_*`` one zeroes the
+    upper bounds of its quarter's level binaries. Restrictions append to
+    ``injected`` in order, so ``restrict(restrict(m, a), b)`` equals
+    ``restrict(m, a + b)``.
+    """
+    injected = tuple(injected)
+    rows = list(problem.rows)
+    upper = list(problem.upper)
+    for inj in injected:
+        q = inj.quarter
+        if not 0 <= q < problem.horizon:
+            raise ValueError(f"injected constraint quarter {q} outside horizon {problem.horizon}")
+        if inj.kind.startswith("force_base_"):
+            capacity = problem.row_by_label[f"{inj.process}_capacity[{q}]"]
+            orders = tuple((col, coeff) for col, coeff in capacity.coeffs if problem.columns[col].kind == "f")
+            rows.append(Row(label=inj.label, coeffs=orders, relation="=", rhs=capacity.rhs))
+        else:
+            kind = _BINARY_KIND_BY_PROCESS[inj.process]
+            for col in problem.binaries:
+                if problem.columns[col].kind == kind and problem.columns[col].quarter == q:
+                    upper[col] = 0.0
+    return replace(problem, rows=tuple(rows), upper=tuple(upper), injected=problem.injected + injected)
+
+
+def level_capacity(problem: StandardFormProblem, process: str, quarter: int, level: int) -> float:
+    """The usage ceiling the model's capacity row gives ``process`` in
+    ``quarter`` when extra level ``level`` is switched on (0: none): the
+    row's right-hand side minus that level binary's coefficient."""
+    row = problem.row_by_label[f"{process}_capacity[{quarter}]"]
+    if level == 0:
+        return row.rhs
+    kind = _BINARY_KIND_BY_PROCESS[process]
+    col = problem.column_index(kind, quarter, None if kind == "h" else level)
+    return row.rhs - dict(row.coeffs).get(col, 0.0)
 
 
 def check_solution(problem: StandardFormProblem, assignment: Sequence[float], tol: float = CHECK_TOL) -> list[str]:

@@ -110,8 +110,10 @@ class SimulationSettings:
             raise ValueError(f"vault_cap must be finite and >= 0, got {self.vault_cap}")
         if not 0.0 <= self.floor_fraction <= 1.0:
             raise ValueError(f"floor_fraction must be in [0, 1], got {self.floor_fraction}")
-        if not self.granularity > 0:
-            raise ValueError(f"granularity must be positive, got {self.granularity}")
+        if not (math.isfinite(self.granularity) and self.granularity > 0):
+            raise ValueError(f"granularity must be finite and positive, got {self.granularity}")
+        if not math.isfinite(self.k_max) or self.k_max < 0:
+            raise ValueError(f"k_max must be finite and >= 0, got {self.k_max}")
         if self.heuristic_order not in ("proc2-first", "proc1-first"):
             raise ValueError(f"unknown heuristic order {self.heuristic_order!r}")
 

@@ -32,6 +32,7 @@ from mintplan import (
     generate_synthetic_scenario,
     load_scenario,
     random_instance,
+    restrict,
     run_simulation,
     solve_lp,
     solve_mip,
@@ -165,7 +166,7 @@ def test_criterion_3_every_pipeline_solution_audits_clean():
     ok = True
     detail = ""
     for name, scenario, config, sol in runs:
-        rebuilt = build(scenario, config, sol.injections)
+        rebuilt = restrict(build(scenario, config), sol.injections)
         violations = check_solution(rebuilt, assignment_from_solution(rebuilt, sol))
         if violations:
             ok = False
@@ -256,10 +257,11 @@ def test_criterion_4_refinement_contracts_hold():
         from mintplan import integerize, procedure1, procedure2
 
         scenario, config = _fixture("slack")
-        whole = integerize(solve_mip(build(scenario, config)), scenario, config)
-        after2 = procedure2(scenario, config, whole)
-        once = procedure1(scenario, config, whole)
-        twice = procedure1(scenario, config, once)
+        model = build(scenario, config)
+        whole = integerize(model, solve_mip(model), scenario)
+        after2 = procedure2(scenario, model, whole)
+        once = procedure1(scenario, model, whole)
+        twice = procedure1(scenario, model, once)
         if after2 is not whole or twice is not once:
             ok = False
             detail = "a quiet guard still replaced the solution object"

@@ -24,6 +24,7 @@ from mintplan import (
     load_scenario,
     parse_lp_text,
     random_instance,
+    restrict,
     shift_cost,
     solve_mip,
 )
@@ -98,7 +99,7 @@ def test_enumeration_skips_forbidden_levels():
             InjectedConstraint(kinds[int(rng.integers(3))], int(rng.integers(2)))
             for _ in range(int(rng.integers(1, 3)))
         )
-        problem = build(scenario, config, injected)
+        problem = restrict(build(scenario, config), injected)
         want_status, want_objective = exhaustive_objective(problem)
         got = solve_mip(problem)
         assert got.status == want_status
@@ -108,7 +109,7 @@ def test_enumeration_skips_forbidden_levels():
 
 def test_a_fix_on_a_forbidden_level_is_infeasible():
     scenario, config = load_fixture("tiny.json")
-    problem = build(scenario, config, (InjectedConstraint("forbid_extra_striking", 0),))
+    problem = restrict(build(scenario, config), (InjectedConstraint("forbid_extra_striking", 0),))
     col = problem.column_index("a", 0, 1)
     assert solve_mip(problem, fixed={col: 1.0}).status == "infeasible"
     assert solve_mip(problem, fixed={col: 0.0}).status == "optimal"
@@ -152,7 +153,7 @@ def test_integerize_preserves_cost_and_grain():
         if sol.status != "optimal":
             continue
         try:
-            whole = integerize(sol, scenario, config)
+            whole = integerize(problem, sol, scenario)
         except RepairInfeasibleError:
             continue  # a legitimate outcome on tight instances
         done += 1
@@ -165,15 +166,16 @@ def test_integerize_preserves_cost_and_grain():
             assert whole.cost == pytest.approx(sol.cost, abs=1e-6)
         grains = whole.plan.orders / 1.0
         assert np.allclose(grains, np.round(grains), atol=1e-7)
-        rebuilt = build(scenario, config, whole.injections)
+        rebuilt = restrict(build(scenario, config), whole.injections)
         assert check_solution(rebuilt, assignment_from_solution(rebuilt, whole)) == []
     assert done == 15
 
 
 def test_integerize_respects_coarser_granularity():
     scenario, config = load_fixture("slack.json")
-    sol = solve_mip(build(scenario, config))
-    whole = integerize(sol, scenario, config, granularity=5.0)
+    problem = build(scenario, config)
+    sol = solve_mip(problem)
+    whole = integerize(problem, sol, scenario, granularity=5.0)
     grains = whole.plan.orders / 5.0
     assert np.allclose(grains, np.round(grains), atol=1e-7)
     assert whole.cost == pytest.approx(sol.cost, abs=1e-6)
@@ -198,10 +200,11 @@ def test_integerize_reports_vault_blocked_repair():
         striking_breakpoints=(50.0, 60.0),
         striking_costs=(9.0,),
     )
-    sol = solve_mip(build(scenario, config))
+    problem = build(scenario, config)
+    sol = solve_mip(problem)
     assert sol.status == "optimal"
     with pytest.raises(RepairInfeasibleError) as info:
-        integerize(sol, scenario, config, granularity=1.0)
+        integerize(problem, sol, scenario, granularity=1.0)
     assert info.value.partial_plan is not None  # the snapped plan is still reported
 
 
@@ -245,7 +248,7 @@ def test_a_ladder_whose_top_step_grows_reports_the_models_level():
     assert sol.shifts.striking == (3,)
     assert sol.cost == shift_cost(sol.shifts, config) == 3.0
     assert check_solution(problem, assignment_from_solution(problem, sol)) == []
-    whole = integerize(sol, scenario, config, granularity=1.0)
+    whole = integerize(problem, sol, scenario, granularity=1.0)
     assert whole.plan.orders.tolist() == [[11.0, 10.0]]
 
 
@@ -299,14 +302,15 @@ def test_integerize_swaps_stock_inside_a_pinned_quarter():
         striking_costs=(9.0,),
     )
     injections = (InjectedConstraint(kind="force_base_striking", quarter=0),)
-    sol = solve_mip(build(scenario, config, injections))
+    problem = restrict(build(scenario, config), injections)
+    sol = solve_mip(problem)
     assert sol.status == "optimal" and sol.cost == 0.0
-    whole = integerize(sol, scenario, config)
+    whole = integerize(problem, sol, scenario)
     assert whole.cost == 0.0
     assert float(np.sum(whole.plan.orders[0])) == pytest.approx(70.0, abs=1e-9)
     assert whole.plan.inventory[0, 0] >= 15.0 - 1e-9
     assert any("under a pinned total" in note for note in whole.notes)
-    rebuilt = build(scenario, config, injections)
+    rebuilt = restrict(build(scenario, config), injections)
     assert check_solution(rebuilt, assignment_from_solution(rebuilt, whole)) == []
 
 

@@ -68,6 +68,11 @@ def test_solve_infeasible_exits_one(tmp_path, capsys):
     assert "no feasible plan" in capsys.readouterr().err
 
 
+def test_solve_rejects_a_non_finite_granularity(tiny_path, capsys):
+    assert main(["solve", tiny_path, "--granularity", "inf"]) == 2
+    assert "granularity must be finite" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["solve", "/nonexistent/scenario.json"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -136,6 +141,19 @@ def test_simulate_baseline_requires_synthetic(tmp_path, capsys):
     path = simulation_file(tmp_path)
     assert main(["simulate", path, "--baseline"]) == 2
     assert "--baseline needs a synthetic run" in capsys.readouterr().err
+
+
+def test_simulate_rejects_baseline_before_running(tmp_path, capsys, monkeypatch):
+    from mintplan import cli
+
+    path = simulation_file(tmp_path)
+    dump_path = tmp_path / "input.json"
+    runs = []
+    monkeypatch.setattr(cli, "run_simulation", lambda *args, **kwargs: runs.append(args))
+    assert main(["simulate", path, "--baseline", "--dump-input", str(dump_path)]) == 2
+    assert "--baseline needs a synthetic run" in capsys.readouterr().err
+    assert runs == []
+    assert not dump_path.exists()
 
 
 def test_simulate_synthetic_with_baseline_csv(tmp_path, capsys):

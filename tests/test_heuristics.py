@@ -15,6 +15,7 @@ from mintplan import (
     procedure1,
     procedure2,
     random_instance,
+    restrict,
     run_heuristics,
     scaled_breakpoints,
     solve_mip,
@@ -60,7 +61,7 @@ def test_procedure1_rejects_fill_that_moves_cost():
     scenario, config = load_fixture("tiny.json")
     base_sol = solve_pipeline(scenario, config)
     events = []
-    refined = procedure1(scenario, config, base_sol, events=events)
+    refined = procedure1(scenario, build(scenario, config), base_sol, events=events)
     assert refined is base_sol
     assert len(events) == 1
     event = events[0]
@@ -72,13 +73,13 @@ def test_procedure1_strict_mode_compares_objectives():
     scenario, config = load_fixture("slack.json")
     base_sol = solve_pipeline(scenario, config)
     events = []
-    procedure1(scenario, config, base_sol, strict_objective=True, events=events)
+    procedure1(scenario, build(scenario, config), base_sol, strict_objective=True, events=events)
     assert events[0].accepted and events[0].reason == "objective unchanged"
 
     scenario, config = load_fixture("tiny.json")
     base_sol = solve_pipeline(scenario, config)
     events = []
-    refined = procedure1(scenario, config, base_sol, strict_objective=True, events=events)
+    refined = procedure1(scenario, build(scenario, config), base_sol, strict_objective=True, events=events)
     assert refined is base_sol
     assert events[0].reason == "objective moved"
 
@@ -105,7 +106,7 @@ def test_procedure2_noop_without_paid_levels():
     base_sol = solve_pipeline(scenario, config)
     assert not first_quarter_paid(base_sol)
     events = []
-    refined = procedure2(scenario, config, base_sol, events=events)
+    refined = procedure2(scenario, build(scenario, config), base_sol, events=events)
     assert refined is base_sol
     assert events == []
 
@@ -116,7 +117,7 @@ def test_procedure1_skips_quarters_already_at_base():
     scenario, config = load_fixture("slack.json")
     filled = solve_pipeline(scenario, config, use_proc1=True)
     events = []
-    again = procedure1(scenario, config, filled, events=events)
+    again = procedure1(scenario, build(scenario, config), filled, events=events)
     assert again is filled
     assert [e.process for e in events] == ["blanking"]
     assert not events[0].accepted
@@ -128,11 +129,11 @@ def test_procedures_require_an_optimal_solution():
     scenario, config = load_fixture("slack.json")
     sol = dataclasses.replace(solve_pipeline(scenario, config), status="infeasible")
     with pytest.raises(ValueError, match="optimal solution"):
-        procedure1(scenario, config, sol)
+        procedure1(scenario, build(scenario, config), sol)
     with pytest.raises(ValueError, match="optimal solution"):
-        procedure2(scenario, config, sol)
+        procedure2(scenario, build(scenario, config), sol)
     with pytest.raises(ValueError, match="unknown heuristic order"):
-        run_heuristics(scenario, config, solve_pipeline(scenario, config), order="sideways")
+        run_heuristics(scenario, build(scenario, config), solve_pipeline(scenario, config), order="sideways")
 
 
 def test_order_controls_which_guards_fire_on_tiny():
@@ -161,7 +162,7 @@ def test_order_controls_which_guards_fire_on_tiny():
 def test_accumulated_injections_all_hold_together():
     scenario, config = load_fixture("tiny.json")
     sol = solve_pipeline(scenario, config, use_proc1=True, use_proc2=True, order="proc2-first")
-    problem = build(scenario, config, sol.injections)
+    problem = restrict(build(scenario, config), sol.injections)
     assert check_solution(problem, assignment_from_solution(problem, sol)) == []
     # both restrictions pin the same quarter: forced base is also the cap
     base = scaled_breakpoints(config, scenario.disruptions, 0, "striking")[0]
@@ -170,12 +171,32 @@ def test_accumulated_injections_all_hold_together():
 
 def test_pipeline_without_procedures_matches_plain_solve():
     scenario, config = load_fixture("tiny.json")
-    plain = integerize(solve_mip(build(scenario, config)), scenario, config)
+    problem = build(scenario, config)
+    plain = integerize(problem, solve_mip(problem), scenario)
     piped = solve_pipeline(scenario, config)
     assert piped.cost == pytest.approx(plain.cost, abs=1e-9)
     assert piped.k == pytest.approx(plain.k, abs=1e-9)
     np.testing.assert_allclose(piped.plan.orders, plain.plan.orders, atol=1e-9)
     assert piped.injections == ()
+
+
+@pytest.mark.parametrize("name", ["tiny.json", "slack.json"])
+def test_pipeline_builds_one_model_for_every_restricted_solve(name, monkeypatch):
+    from mintplan import mip
+
+    scenario, config = load_fixture(name)
+    builds = []
+    real_build = mip.build
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(mip, "build", counting_build)
+    events = []
+    solve_pipeline(scenario, config, use_proc1=True, use_proc2=True, events=events)
+    assert len(events) >= 2  # restricted re-solves ran
+    assert len(builds) == 1
 
 
 def test_procedure1_never_moves_the_bill_random_sweep():
@@ -227,7 +248,7 @@ def test_procedure2_results_stay_feasible_random_sweep():
             continue
         checked += 1
         fired += len(events)
-        problem = build(scenario, config, refined.injections)
+        problem = restrict(build(scenario, config), refined.injections)
         assert check_solution(problem, assignment_from_solution(problem, refined)) == []
         for inj in refined.injections:
             process = inj.kind.removeprefix("forbid_extra_")

@@ -1,5 +1,6 @@
 """Model assembly: rows, columns, bounds, and the LP text format."""
 
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -19,7 +20,10 @@ from mintplan import (
     load_scenario,
     objective_value,
     parse_lp_text,
+    restrict,
+    scaled_breakpoints,
 )
+from mintplan.mip import level_capacity
 
 CFG1 = MintConfig(
     blanking_breakpoints=(20.0, 28.0),
@@ -187,7 +191,7 @@ def test_objective_value_matches_hand_sum():
 
 def test_injected_constraints_add_labeled_rows():
     scenario = one_quarter_scenario()
-    problem = build(scenario, CFG1, injected=(InjectedConstraint("force_base_striking", 0),))
+    problem = restrict(build(scenario, CFG1), (InjectedConstraint("force_base_striking", 0),))
     labels = [row.label for row in problem.rows]
     assert "force_base_striking[0]" in labels
     row = problem.row_by_label["force_base_striking[0]"]
@@ -198,7 +202,7 @@ def test_injected_constraints_add_labeled_rows():
         InjectedConstraint("forbid_extra_blanking", 0),
         InjectedConstraint("forbid_extra_annealing", 0),
     )
-    problem2 = build(scenario, CFG1, injected=forbid_all)
+    problem2 = restrict(build(scenario, CFG1), forbid_all)
     for col in (2, 3, 4):  # c[0,1], h[0], a[0,1]
         assert (problem2.lower[col], problem2.upper[col]) == (0.0, 0.0)
     assert not any(row.label.startswith("forbid_extra_") for row in problem2.rows)
@@ -206,6 +210,70 @@ def test_injected_constraints_add_labeled_rows():
 
     with pytest.raises(ValueError):
         InjectedConstraint("force_maximum_striking", 0)
+
+
+def tiny_with_a_disrupted_quarter():
+    """The tiny fixture with every process of quarter 1 scaled by 0.62."""
+    text = resources.files("mintplan").joinpath("fixtures/tiny.json").read_text()
+    scenario, cfg = load_scenario(text)
+    disruptions = tuple(
+        Disruption(quarter=1, process=p, capacity_scale=0.62) for p in ("blanking", "annealing", "striking")
+    )
+    return replace(scenario, disruptions=disruptions), cfg
+
+
+def test_restricting_twice_is_restricting_once_by_both():
+    scenario, cfg = tiny_with_a_disrupted_quarter()
+    model = build(scenario, cfg)
+    first = (InjectedConstraint("forbid_extra_striking", 0), InjectedConstraint("force_base_blanking", 1))
+    second = (InjectedConstraint("force_base_striking", 0), InjectedConstraint("forbid_extra_annealing", 1))
+    once = restrict(model, first + second)
+    twice = restrict(restrict(model, first), second)
+    assert (twice.rows, twice.lower, twice.upper, twice.injected) == (
+        once.rows,
+        once.lower,
+        once.upper,
+        once.injected,
+    )
+    assert once.injected == first + second
+    assert model.injected == () and model.rows == build(scenario, cfg).rows
+    with pytest.raises(ValueError, match="outside horizon"):
+        restrict(model, (InjectedConstraint("force_base_striking", 2),))
+
+
+def test_force_rows_copy_the_capacity_rows_of_a_disrupted_quarter():
+    """A force row holds its capacity row's order terms, at that row's
+    right-hand side: the quarter's scaled base capacity."""
+    scenario, cfg = tiny_with_a_disrupted_quarter()
+    model = build(scenario, cfg)
+    problem = restrict(
+        model, (InjectedConstraint("force_base_striking", 1), InjectedConstraint("force_base_blanking", 1))
+    )
+    D = scenario.n_denoms
+    wanted = {
+        "striking": tuple((model.column_index("f", 1, d), 1.0) for d in range(D)),
+        "blanking": tuple((model.column_index("f", 1, d), scenario.coin_specs[d].blanking_rate) for d in range(D)),
+    }
+    for process, coeffs in wanted.items():
+        capacity = model.row_by_label[f"{process}_capacity[1]"]
+        force = problem.row_by_label[f"force_base_{process}[1]"]
+        assert force.coeffs == coeffs
+        assert set(coeffs) < set(capacity.coeffs)
+        assert force.relation == "="
+        assert force.rhs == capacity.rhs == cfg.breakpoints(process)[0] * 0.62
+    assert problem.rows[: len(model.rows)] == model.rows
+    assert problem.upper == model.upper
+
+
+def test_level_capacity_is_the_base_plus_the_levels_own_step():
+    scenario, cfg = tiny_with_a_disrupted_quarter()
+    model = build(scenario, cfg)
+    for t in range(scenario.horizon):
+        for process in ("blanking", "annealing", "striking"):
+            b = scaled_breakpoints(cfg, scenario.disruptions, t, process)
+            assert level_capacity(model, process, t, 0) == b[0]
+            for j in range(1, len(b)):
+                assert level_capacity(model, process, t, j) == b[0] + (b[j] - b[j - 1])
 
 
 def test_lp_text_round_trip_is_exact():
@@ -231,7 +299,7 @@ def test_lp_text_round_trip_is_exact():
         striking_breakpoints=(70.0, 90.0, 105.0),
         striking_costs=(9.0, 15.0),
     )
-    problem = build(scenario, cfg, injected=(InjectedConstraint("force_base_striking", 0),))
+    problem = restrict(build(scenario, cfg), (InjectedConstraint("force_base_striking", 0),))
     text = export_lp_text(problem)
     parsed = parse_lp_text(text)
     assert parsed.columns == problem.columns
@@ -256,7 +324,7 @@ def test_lp_text_round_trip_keeps_forbid_restrictions():
         InjectedConstraint("forbid_extra_blanking", 0),
         InjectedConstraint("forbid_extra_annealing", 1),
     )
-    problem = build(scenario, cfg, injected=injected)
+    problem = restrict(build(scenario, cfg), injected)
     text = export_lp_text(problem)
     assert "forbid_extra" not in text
     parsed = parse_lp_text(text)
@@ -276,7 +344,7 @@ def test_lp_text_partly_zeroed_ladder_recovers_no_forbid():
     zero upper bound on one level stays a bound and nothing more."""
     text = resources.files("mintplan").joinpath("fixtures/tiny.json").read_text()
     scenario, cfg = load_scenario(text)
-    problem = build(scenario, cfg, injected=(InjectedConstraint("forbid_extra_striking", 1),))
+    problem = restrict(build(scenario, cfg), (InjectedConstraint("forbid_extra_striking", 1),))
     text = export_lp_text(problem)
     assert "0.0 <= a[0,2] <= 1.0" in text
     parsed = parse_lp_text(text.replace("0.0 <= a[0,2] <= 1.0", "0.0 <= a[0,2] <= 0.0"))

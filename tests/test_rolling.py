@@ -235,6 +235,21 @@ def test_simulation_file_rejections():
         load_simulation(text.replace("150.0", "NaN", 1))
 
 
+@pytest.mark.parametrize(
+    "setting, bad",
+    [('"granularity": 1.0', '"granularity": 1e999'), ('"k_max": 2.0', '"k_max": -1')],
+    ids=["granularity", "k_max"],
+)
+def test_simulation_file_rejects_unusable_solver_settings(setting, bad):
+    text = dump_simulation(
+        [EpochInput(realized=np.array([1.0]), inventory=np.array([1.0]))], CFG, SPEC, SETTINGS
+    )
+    assert setting in text
+    name = setting.split(":")[0].strip('"')
+    with pytest.raises(ScenarioFormatError, match=f"settings: {name} must be finite"):
+        load_simulation(text.replace(setting, bad))
+
+
 def test_report_csv_layout():
     report = run_simulation(spiky_history(), CFG, SPEC, SETTINGS)
     plain = report_csv(report).splitlines()
