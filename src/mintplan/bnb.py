@@ -10,7 +10,10 @@ optimal and the search can stop there.
 
 ``lexicographic`` problems are solved in two passes: minimize the
 extra-shift cost with the safety reward switched off, then pin the cost
-at its optimum with one extra equality row and maximize K.
+at its optimum with one extra equality row and maximize K. When no
+binary has a negative cost, the K pass at a bill of 0 runs first: most
+replans need no paid shift, and for them that one search is the whole
+solve. Only when it is infeasible do the two passes run.
 """
 
 from __future__ import annotations
@@ -158,6 +161,22 @@ def _extract_solution(problem: StandardFormProblem, x: np.ndarray) -> Solution:
     )
 
 
+def _cost_locked(problem: StandardFormProblem, bill: float) -> StandardFormProblem:
+    """The K pass of a lexicographic solve: maximize K with the
+    extra-shift bill pinned at ``bill`` by one equality row."""
+    k_objective = [0.0] * len(problem.columns)
+    k_objective[problem.column_index("K")] = -1.0
+    lock = Row(
+        label="cost_lock[0]",
+        coeffs=tuple(
+            (col, problem.objective[col]) for col in problem.binaries if problem.objective[col] != 0.0
+        ),
+        relation="=",
+        rhs=bill,
+    )
+    return replace(problem, objective=tuple(k_objective), rows=problem.rows + (lock,))
+
+
 def solve_mip(
     problem: StandardFormProblem,
     *,
@@ -170,6 +189,12 @@ def solve_mip(
     integerizer's shift escalation). A value outside the column's model
     bounds, such as 1 on a level a ``forbid_extra_*`` restriction fixed
     at 0, makes the solution infeasible.
+
+    A lexicographic solve whose binaries all cost 0 or more first tries
+    the K pass at a bill of 0: a plan found there is the optimum, since
+    no plan costs less, so the cost pass is skipped. Only when that tree
+    is infeasible do the cost pass and the K pass at its bill run. All
+    searches draw on one budget of ``node_cap`` LPs.
     """
     budget = [node_cap]
     if problem.mode == "combined":
@@ -178,7 +203,12 @@ def solve_mip(
             return Solution(status="infeasible", objective=math.nan, cost=math.nan, k=math.nan)
         return _extract_solution(problem, x)
 
-    # lexicographic: cost first, then K with the cost pinned
+    # lexicographic: a zero bill when one exists, else cost first, then K
+    # with the cost pinned
+    if all(problem.objective[col] >= 0.0 for col in problem.binaries):
+        x = _branch_and_bound(_cost_locked(problem, 0.0), node_budget=budget, fixed=fixed)
+        if x is not None:
+            return _extract_solution(problem, x)
     cost_objective = list(problem.objective)
     cost_objective[problem.column_index("K")] = 0.0
     phase1 = replace(problem, objective=tuple(cost_objective))
@@ -186,19 +216,7 @@ def solve_mip(
     if x1 is None:
         return Solution(status="infeasible", objective=math.nan, cost=math.nan, k=math.nan)
     best_cost = float(sum(problem.objective[col] * round(x1[col]) for col in problem.binaries))
-
-    k_objective = [0.0] * len(problem.columns)
-    k_objective[problem.column_index("K")] = -1.0
-    lock = Row(
-        label="cost_lock[0]",
-        coeffs=tuple(
-            (col, problem.objective[col]) for col in problem.binaries if problem.objective[col] != 0.0
-        ),
-        relation="=",
-        rhs=best_cost,
-    )
-    phase2 = replace(problem, objective=tuple(k_objective), rows=problem.rows + (lock,))
-    x2 = _branch_and_bound(phase2, node_budget=budget, fixed=fixed)
+    x2 = _branch_and_bound(_cost_locked(problem, best_cost), node_budget=budget, fixed=fixed)
     if x2 is None:  # the phase-1 point satisfies the lock, so this cannot happen
         raise MintPlanError("cost-locked second pass lost feasibility")
     return _extract_solution(problem, x2)

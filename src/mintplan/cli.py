@@ -168,7 +168,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.trials <= 0:
+    if args.trials < 0:
+        print(f"--trials must be 0 or more, got {args.trials}", file=sys.stderr)
+        return USAGE_ERROR
+    if args.trials == 0:
         print("warning: zero trials requested; nothing was checked", file=sys.stderr)
         return 0
     n_binaries = args.horizon * (args.blanking_levels + args.striking_levels + 1)

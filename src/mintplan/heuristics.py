@@ -8,7 +8,9 @@ when it does not hurt:
   leaves base striking (then blanking) capacity unused, it re-solves
   with that base capacity pinned to full use and accepts the new plan
   when the extra-shift bill is unchanged, banking free production as
-  inventory.
+  inventory. After an accepted striking fill pins the coin count, the
+  blanking fill is skipped without a solve when no mix of that many
+  coins can load blanking to its base.
 * ``procedure2`` postpones paid capacity. If the first quarter uses an
   extra level of striking, blanking, or annealing, it re-solves with
   that level forbidden in the first quarter and accepts whenever the
@@ -24,12 +26,14 @@ plan, and the solution's ``injections`` field carries the final set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import bnb as bnb_mod
 from . import costs as costs_mod
 from . import mip as mip_mod
 from .bnb import DEFAULT_NODE_CAP, RepairInfeasibleError
+from .lpsolve import FEAS_TOL
 from .mip import DEFAULT_K_MAX, InjectedConstraint, StandardFormProblem
 from .model import BOUNDARY_TOL, MintConfig, Scenario, Solution
 
@@ -99,6 +103,22 @@ def _solve_restricted(
     return sol
 
 
+def _pinned_count_rules_out_blanking(scenario: Scenario, model: StandardFormProblem) -> bool:
+    """Whether pinning first-quarter striking to base leaves no room for
+    base blanking: with the coin count fixed at Z, the blanking load
+    ``sum(rate * f)`` over nonnegative orders lies between min rate * Z
+    and max rate * Z, so a base load X outside that band makes the two
+    pinned rows inconsistent. The band must be missed by more than ten
+    times the LP's phase-1 tolerance, scaled like its box screen, so the
+    certificate only claims what the solver would find; a slimmer miss
+    is left to the solver."""
+    rates = [spec.blanking_rate for spec in scenario.coin_specs]
+    z = mip_mod.level_capacity(model, "striking", 0, 0)
+    x = mip_mod.level_capacity(model, "blanking", 0, 0)
+    margin = 10.0 * FEAS_TOL * max(1.0, abs(x), abs(z), max(rates))
+    return x > max(rates) * z + margin or x < min(rates) * z - margin
+
+
 def procedure1(
     scenario: Scenario,
     model: StandardFormProblem,
@@ -117,7 +137,11 @@ def procedure1(
     and accepts only when the extra-shift bill is unchanged (with
     ``strict_objective`` the whole objective, including the safety
     reward, must be unchanged). When neither guard fires the input
-    solution is returned untouched.
+    solution is returned untouched. A blanking fill on a plan whose coin
+    count is already pinned is recorded as "restricted model infeasible"
+    without a solve when the pinned count proves it: Z coins load
+    blanking with at least min rate * Z and at most max rate * Z, and a
+    base outside that band cannot be met.
     """
     if solution.status != "optimal":
         raise ValueError("procedure1 needs an optimal solution to refine")
@@ -127,7 +151,12 @@ def procedure1(
         use = costs_mod.usage(current.plan.orders[0], scenario.coin_specs).for_process(process)
         if not use < base - BOUNDARY_TOL:
             continue
-        candidate = _solve_restricted(
+        doomed = (
+            kind == "force_base_blanking"
+            and InjectedConstraint(kind="force_base_striking", quarter=0) in current.injections
+            and _pinned_count_rules_out_blanking(scenario, model)
+        )
+        candidate = None if doomed else _solve_restricted(
             scenario,
             model,
             current.injections + (InjectedConstraint(kind=kind, quarter=0),),
@@ -278,8 +307,11 @@ def solve_pipeline(
     of the refinements work on that model. Returns an infeasible
     Solution when the model has no feasible point; raises
     RepairInfeasibleError when rounding cannot be repaired even with
-    escalation.
+    escalation, and ValueError, before any search, on a granularity
+    that is not finite and positive.
     """
+    if not (math.isfinite(granularity) and granularity > 0):
+        raise ValueError(f"granularity must be finite and positive, got {granularity}")
     model = mip_mod.build(scenario, config, k_max=k_max)
     sol = bnb_mod.solve_mip(model, node_cap=node_cap)
     if sol.status != "optimal":

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -390,22 +391,26 @@ def test_enumeration_without_a_feasible_assignment_solves_nothing_cold(monkeypat
 PIVOT_PATH = Path(__file__).parent / "golden" / "pivot_path.json"
 
 
-def record_pivot_paths() -> dict:
-    """Status, iteration count and final basis of every LP that
-    ``solve_mip`` solves on the two fixtures, 20 random 2x2 draws and
-    three 5-quarter, 7-denomination draws of campaign size (107 rows)."""
+def pivot_path_problems() -> dict:
+    """The two fixtures, 20 random 2x2 draws and three 5-quarter,
+    7-denomination draws of campaign size (107 rows), by name."""
     problems = {name: build(*load_fixture(name)) for name in ("tiny.json", "slack.json")}
     rng = np.random.default_rng(2026)
     for i in range(20):
         problems[f"random[{i}]"] = build(*random_instance(rng))
     rng = np.random.default_rng(2026)
     draws = [random_instance(rng, horizon=5, n_denoms=7) for _ in range(39)]
-    for i in (5, 17, 38):  # trees of 14, 32 and 38 LPs
+    for i in (5, 17, 38):  # trees of 15, 33 and 39 LPs
         problems[f"random5x7[{i}]"] = build(*draws[i])
+    return problems
 
+
+def record_pivot_paths() -> dict:
+    """Status, iteration count and final basis of every LP that
+    ``solve_mip`` solves on ``pivot_path_problems``."""
     paths = {}
     real = bnb.solve_lp
-    for name, problem in problems.items():
+    for name, problem in pivot_path_problems().items():
         calls = []
 
         def spy(*args, **kwargs):
@@ -433,3 +438,101 @@ def test_tree_search_keeps_its_cold_pivot_path():
     assert list(got) == list(want)
     for name in want:
         assert got[name] == want[name], name
+
+
+def two_pass_reference(problem, fixed=None):
+    """The lexicographic solve as two searches and nothing else: minimize
+    the bill with K's reward off, then maximize K with the bill pinned
+    at that optimum by an equality row."""
+    budget = [bnb.DEFAULT_NODE_CAP]
+    k_col = problem.column_index("K")
+    cost_objective = tuple(0.0 if col == k_col else c for col, c in enumerate(problem.objective))
+    x1 = bnb._branch_and_bound(replace(problem, objective=cost_objective), node_budget=budget, fixed=fixed)
+    if x1 is None:
+        return bnb.Solution(status="infeasible", objective=math.nan, cost=math.nan, k=math.nan)
+    bill = float(sum(problem.objective[col] * round(x1[col]) for col in problem.binaries))
+    lock = bnb.Row(
+        label="cost_lock[0]",
+        coeffs=tuple((col, problem.objective[col]) for col in problem.binaries if problem.objective[col] != 0.0),
+        relation="=",
+        rhs=bill,
+    )
+    k_objective = tuple(-1.0 if col == k_col else 0.0 for col in range(len(problem.columns)))
+    locked = replace(problem, objective=k_objective, rows=problem.rows + (lock,))
+    return bnb._extract_solution(problem, bnb._branch_and_bound(locked, node_budget=budget, fixed=fixed))
+
+
+def same_answer(a, b) -> bool:
+    def key(sol):
+        plan = None if sol.plan is None else (sol.plan.orders.tobytes(), sol.plan.inventory.tobytes())
+        return (sol.status, repr(sol.objective), repr(sol.cost), repr(sol.k), sol.shifts, plan)
+
+    return key(a) == key(b)
+
+
+def count_lps(solve) -> int:
+    calls = 0
+    real = bnb.solve_lp
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bnb, "solve_lp", counted)
+        solve()
+    return calls
+
+
+def test_zero_bill_attempt_returns_the_two_pass_answer():
+    """Trying the K pass at a zero bill first is a shortcut, not a new
+    answer: on every pivot-path problem, and with a paid level fixed as
+    the integerizer's escalation does, ``solve_mip`` returns exactly what
+    the cost pass followed by the cost-locked K pass returns."""
+    problems = pivot_path_problems()
+    for name, problem in problems.items():
+        assert problem.mode == "lexicographic", name
+        assert same_answer(solve_mip(problem), two_pass_reference(problem)), name
+    tiny = problems["tiny.json"]
+    for paid in (("a", 1, 1), ("a", 0, 2), ("c", 0, 1), ("h", 1)):
+        fixed = {tiny.column_index(*paid): 1.0}
+        got = solve_mip(tiny, fixed=fixed)
+        assert got.status == "optimal" and got.cost > 0.0
+        assert same_answer(got, two_pass_reference(tiny, fixed=fixed)), paid
+
+
+def test_a_zero_bill_solve_is_one_search():
+    """The slack fixture needs no paid shift: its whole solve is the
+    zero-bill K pass, one LP where the two passes take two. The tiny
+    fixture needs one, so the failed attempt costs it one LP more."""
+    slack = build(*load_fixture("slack.json"))
+    assert count_lps(lambda: solve_mip(slack)) == 1
+    assert count_lps(lambda: two_pass_reference(slack)) == 2
+    tiny = build(*load_fixture("tiny.json"))
+    assert count_lps(lambda: solve_mip(tiny)) == count_lps(lambda: two_pass_reference(tiny)) + 1
+
+
+def test_a_negative_binary_cost_skips_the_zero_bill_attempt(monkeypatch):
+    """A parsed model may pay for a shift with a negative cost; then a
+    plan can bill less than 0, and the cost pass must run first. On the
+    slack fixture with a rebate on one annealing shift, a zero-bill
+    answer would be wrong: the optimum takes the rebate."""
+    problem = build(*load_fixture("slack.json"))
+    rebated = problem.column_index("h", 0)
+    objective = tuple(-1.0 if col == rebated else c for col, c in enumerate(problem.objective))
+    problem = replace(problem, objective=objective)
+    searched = []
+    search = bnb._branch_and_bound
+
+    def spy(p, **kwargs):
+        searched.append(tuple(row.label for row in p.rows if row.label.startswith("cost_lock")))
+        return search(p, **kwargs)
+
+    monkeypatch.setattr(bnb, "_branch_and_bound", spy)
+    got = solve_mip(problem)
+    assert searched[0] == ()  # the cost pass, not a locked search
+    assert got.status == "optimal" and got.cost == -1.0
+    status, objective = exhaustive_objective(problem)
+    assert status == "optimal"
+    assert got.objective == pytest.approx(objective, abs=1e-9)

@@ -73,6 +73,23 @@ def test_solve_rejects_a_non_finite_granularity(tiny_path, capsys):
     assert "granularity must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("granularity", ["inf", "-1"])
+def test_solve_rejects_a_bad_granularity_before_searching(granularity, tmp_path, capsys, monkeypatch):
+    """An infeasible scenario must not hide a bad granularity behind
+    "no feasible plan": the option is checked before any search."""
+    from mintplan import bnb
+
+    doc = json.loads(fixture_text("tiny.json"))
+    doc["demand"] = [[400.0, 300.0], [48.0, 32.0]]
+    path = tmp_path / "impossible.json"
+    path.write_text(json.dumps(doc))
+    searches = []
+    monkeypatch.setattr(bnb, "solve_mip", lambda *args, **kwargs: searches.append(args))
+    assert main(["solve", str(path), "--granularity", granularity]) == 2
+    assert "granularity must be finite and positive" in capsys.readouterr().err
+    assert searches == []
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["solve", "/nonexistent/scenario.json"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -175,6 +192,11 @@ def test_simulate_synthetic_with_baseline_csv(tmp_path, capsys):
 def test_oracle_zero_trials_warns_and_succeeds(capsys):
     assert main(["oracle", "--trials", "0"]) == 0
     assert "nothing was checked" in capsys.readouterr().err
+
+
+def test_oracle_rejects_negative_trials(capsys):
+    assert main(["oracle", "--trials", "-3"]) == 2
+    assert "--trials must be 0 or more" in capsys.readouterr().err
 
 
 def test_oracle_rejects_oversized_instances(capsys):

@@ -1,11 +1,13 @@
 """Guard behavior of the two first-quarter refinement procedures."""
 
+import json
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from mintplan import (
+    InjectedConstraint,
     RepairInfeasibleError,
     assignment_from_solution,
     build,
@@ -257,3 +259,59 @@ def test_procedure2_results_stay_feasible_random_sweep():
             assert used <= base + 1e-6
     assert checked >= 3
     assert fired >= 3
+
+
+def filled_striking(name: str, blanking_base: float | None = None):
+    """A fixture's model and its integerized plan with first-quarter
+    striking already pinned to base, as an accepted striking fill leaves
+    it; ``blanking_base`` replaces the base blanking capacity."""
+    doc = json.loads(resources.files("mintplan").joinpath(f"fixtures/{name}").read_text())
+    if blanking_base is not None:
+        doc["mint_config"]["blanking"]["breakpoints"][0] = blanking_base
+    scenario, config = load_scenario(json.dumps(doc))
+    model = build(scenario, config)
+    problem = restrict(model, (InjectedConstraint("force_base_striking", 0),))
+    filled = integerize(problem, solve_mip(problem), scenario)
+    return scenario, model, filled
+
+
+def count_solves(monkeypatch) -> list:
+    from mintplan import bnb
+
+    calls = []
+    real = bnb.solve_mip
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bnb, "solve_mip", counted)
+    return calls
+
+
+def test_a_pinned_coin_count_rules_out_the_blanking_fill_without_a_solve(monkeypatch):
+    """On the slack fixture, 70 pinned coins at blanking rates 0.2 and
+    0.25 load blanking between 14 and 17.5, never its base of 20: the
+    fill is recorded as infeasible without running the solver."""
+    scenario, model, filled = filled_striking("slack.json")
+    assert filled.injections == (InjectedConstraint("force_base_striking", 0),)
+    calls = count_solves(monkeypatch)
+    events = []
+    assert procedure1(scenario, model, filled, events=events) is filled
+    assert calls == []
+    assert [(e.process, e.accepted, e.cost_delta, e.reason) for e in events] == [
+        ("blanking", False, None, "restricted model infeasible"),
+    ]
+
+
+@pytest.mark.parametrize("blanking_base", [16.0, 17.5 + 1e-5])
+def test_a_blanking_base_near_the_pinned_band_is_left_to_the_solver(blanking_base, monkeypatch):
+    """At a base of 16, inside the 14 to 17.5 band, the two pinned rows
+    may agree, so only the solver can say whether the fill holds; a miss
+    within the certificate's margin is the solver's to judge too."""
+    scenario, model, filled = filled_striking("slack.json", blanking_base=blanking_base)
+    calls = count_solves(monkeypatch)
+    events = []
+    procedure1(scenario, model, filled, events=events)
+    assert [e.process for e in events] == ["blanking"]
+    assert len(calls) >= 1

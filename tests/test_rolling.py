@@ -146,10 +146,10 @@ def test_infeasible_epoch_falls_back_to_capped_shortfall():
 
 
 def test_solver_errors_fall_back_epoch_by_epoch():
-    # one node cannot finish a branch-and-bound search: every epoch that
-    # needs branching raises NodeCapExceeded, which must not end the run
+    # a budget of no LP cannot even solve a root relaxation: every
+    # epoch's search raises NodeCapExceeded, which must not end the run
     bundle = generate_synthetic_scenario(0, quarters=4)
-    settings = replace(bundle.settings, node_cap=1)
+    settings = replace(bundle.settings, node_cap=0)
     report = run_simulation(bundle.history, bundle.config, bundle.coin_specs, settings)
     assert report.infeasible_epochs == (0, 1, 2, 3)
     reasons = [note for note in report.notes if "no usable solution" in note]
