@@ -714,8 +714,18 @@ def random_instance(
     Capacity ladders use non-increasing level increments (each extra
     shift adds at most as much as the previous one), demand runs from
     slack to beyond base capacity, and a quarter of the draws include a
-    one-quarter disruption on a random process.
+    one-quarter disruption on a random process. Raises ValueError when
+    a size is below 1.
     """
+    sizes = {
+        "horizon": horizon,
+        "n_denoms": n_denoms,
+        "n_blanking_levels": n_blanking_levels,
+        "n_striking_levels": n_striking_levels,
+    }
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be 1 or more, got {value}")
     D, T = n_denoms, horizon
     rates = rng.uniform(0.08, 0.3, D)
     weights = np.where(rng.random(D) < 0.4, 0.0, rng.uniform(1.0, 6.0, D))

@@ -171,6 +171,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.trials < 0:
         print(f"--trials must be 0 or more, got {args.trials}", file=sys.stderr)
         return USAGE_ERROR
+    sizes = {
+        "--horizon": args.horizon,
+        "--denoms": args.denoms,
+        "--blanking-levels": args.blanking_levels,
+        "--striking-levels": args.striking_levels,
+    }
+    for flag, value in sizes.items():
+        if value < 1:
+            print(f"{flag} must be 1 or more, got {value}", file=sys.stderr)
+            return USAGE_ERROR
     if args.trials == 0:
         print("warning: zero trials requested; nothing was checked", file=sys.stderr)
         return 0

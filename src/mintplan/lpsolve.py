@@ -30,11 +30,20 @@ and a bounded dual simplex pivots back to primal feasibility: the most
 violated basic value leaves, the dual ratio test picks the entering
 column, and a row with no entering candidate proves the LP infeasible.
 That proof keeps the basis dual feasible, so the next solve restarts
-from it. The primal phase-2 pass then confirms optimality. Any trouble
-falls back to the cold solve: a preferred bound that is infinite, a
-singular refactorization, a stall past the iteration budget, an
-infeasibility too slim to prove with margin over the cold phase-1
-tolerance, or a final point off its rows.
+from it. After a dual pivot the primal phase-2 pass confirms
+optimality; a start that was already primal feasible skips it, since
+with every column at its preferred bound no column can enter. Any
+trouble falls back to the cold solve: a preferred bound that is
+infinite, a singular refactorization, a stall past the iteration
+budget, an infeasibility too slim to prove with margin over the cold
+phase-1 tolerance, or a final point off its rows.
+
+A warm solve pays for its bounds change and little else. The reduced
+costs travel with the basis: a tableau prices them once and keeps them
+until a pivot or an inversion changes its basis inverse, and a restart
+takes over those of the result it starts from. The row tolerances, the
+objective and the sign-split matrix of the bound-box screen are kept
+with the assembly, once per problem.
 
 The structural matrix, right-hand sides, slack layout and bounds are
 assembled with numpy once per problem object: the last assembly is
@@ -56,7 +65,6 @@ is, but for the sign of its zero entries.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -145,6 +153,14 @@ class _Assembly:
         self.n_total = n + len(self.slack_rows) + m
         self.cost = np.zeros(self.n_total)
         self.cost[:n] = problem.objective
+        self.objective = self.cost[:n]
+        scale = np.maximum(1.0, np.abs(self.b))
+        self.row_tol = FEAS_TOL * scale  # what a final point may miss a row by
+        self.box_margin = 10.0 * FEAS_TOL * scale  # what the bound-box screen needs
+        self.equality = self.sense == 0.0
+        self.positive, self.negative = self.A > 0.0, self.A < 0.0
+        self.A_pos = np.where(self.positive, self.A, 0.0)
+        self.A_neg = np.where(self.negative, self.A, 0.0)
         # the tableau's matrix but for the artificial columns, whose signs
         # depend on the bounds
         self.A_start = np.zeros((m, self.n_total))
@@ -164,18 +180,15 @@ class _Assembly:
         than ``10 * FEAS_TOL * max(1, |rhs|)``, well past what cold phase 1
         tolerates. An infinite bound makes its side of the range infinite
         wherever its column has a nonzero coefficient, and nowhere else."""
-        A = self.A
+        positive, negative, A_pos, A_neg = self.positive, self.negative, self.A_pos, self.A_neg
         lo_inf, hi_inf = np.isinf(lower), np.isinf(upper)
         lo, hi = np.where(lo_inf, 0.0, lower), np.where(hi_inf, 0.0, upper)
-        positive, negative = A > 0.0, A < 0.0
-        A_pos, A_neg = np.where(positive, A, 0.0), np.where(negative, A, 0.0)
         least = A_pos @ lo + A_neg @ hi
         most = A_pos @ hi + A_neg @ lo
         least[positive @ lo_inf | negative @ hi_inf] = -np.inf
         most[positive @ hi_inf | negative @ lo_inf] = np.inf
-        margin = 10.0 * FEAS_TOL * np.maximum(1.0, np.abs(self.b))
-        too_low = (self.sense <= 0.0) & (most < self.b - margin)  # ">=" and "=" rows
-        too_high = (self.sense >= 0.0) & (least > self.b + margin)  # "<=" and "=" rows
+        too_low = (self.sense <= 0.0) & (most < self.b - self.box_margin)  # ">=" and "=" rows
+        too_high = (self.sense >= 0.0) & (least > self.b + self.box_margin)  # "<=" and "=" rows
         return bool(np.any(too_low | too_high))
 
     def worst_violation(self, x: np.ndarray) -> tuple[int, float] | None:
@@ -183,8 +196,8 @@ class _Assembly:
         beyond tolerance (the lowest such row on a tie), with the amount,
         or None."""
         gap = self.A @ x - self.b
-        violation = np.where(self.sense == 0.0, np.abs(gap), np.maximum(0.0, self.sense * gap))
-        bad = np.flatnonzero(violation > FEAS_TOL * np.maximum(1.0, np.abs(self.b)))
+        violation = np.where(self.equality, np.abs(gap), np.maximum(0.0, self.sense * gap))
+        bad = np.flatnonzero(violation > self.row_tol)
         if bad.size == 0:
             return None
         worst = int(bad[np.argmax(violation[bad])])
@@ -245,22 +258,36 @@ class _Tableau:
         # the starting basis is a signed identity and is its own inverse
         self.B_inv = np.diag(A[np.arange(m), basis])
         self._pivots = 0  # product-form updates of B_inv since its factorization
+        self._reduced = None  # phase-2 reduced costs at this basis and B_inv, once priced
         self._recompute_basics()
+
+    def reduced_costs(self) -> np.ndarray:
+        """The phase-2 reduced costs ``c - (c_B B_inv) A`` at the current
+        basis and inverse, computed on first use and kept until a pivot
+        or an inversion changes ``B_inv``. Callers must not write to it."""
+        if self._reduced is None:
+            c = self.asm.cost
+            self._reduced = c - (c[self.basis] @ self.B_inv) @ self.A
+        return self._reduced
 
     def restarted(self, lower: np.ndarray, upper: np.ndarray) -> _Tableau | None:
         """A copy at this tableau's basis under new structural bounds,
         with every nonbasic column at the bound its phase-2 reduced cost
-        prefers (ties keep their side). None when a preferred bound is
-        infinite, so the start is not dual feasible."""
+        prefers (ties keep their side, so no column is eligible to enter
+        at the start). None when a preferred bound is infinite, so the
+        start is not dual feasible. The copy shares the problem's arrays
+        and takes over this tableau's reduced costs, which do not depend
+        on the bounds."""
         n = self.n_struct
-        new = copy.copy(self)
-        new.l, new.u = self.l.copy(), self.u.copy()
-        new.l[:n], new.u[:n] = lower, upper
+        reduced = self.reduced_costs()
+        new = _Tableau.__new__(_Tableau)
+        new.asm, new.n_struct, new.A, new.b, new.art_cols = self.asm, n, self.A, self.b, self.art_cols
+        new.need_phase1, new.iterations = False, 0
+        new.l = np.concatenate((lower, self.l[n:]))
+        new.u = np.concatenate((upper, self.u[n:]))
         new.basis, new.B_inv = self.basis.copy(), self.B_inv.copy()
-        new.iterations = 0
+        new._pivots, new._reduced = self._pivots, reduced
 
-        c = self.asm.cost
-        reduced = c - (c[new.basis] @ new.B_inv) @ new.A
         tie = np.abs(reduced) <= DUAL_TOL
         at_upper = np.where(tie, self.status == _AT_UPPER, reduced < 0.0)
         at_upper[tie & ~np.isfinite(new.l)] = True
@@ -281,6 +308,7 @@ class _Tableau:
         if self._pivots:
             self.B_inv = np.linalg.inv(self.A[:, self.basis])
             self._pivots = 0
+            self._reduced = None
         self._recompute_basics()
 
     def _recompute_basics(self) -> None:
@@ -295,6 +323,7 @@ class _Tableau:
         self.B_inv[rows] -= dq[rows, None] * pivot_row
         self.B_inv[pos] = pivot_row
         self._pivots += 1
+        self._reduced = None
 
     def iterate(self, c: np.ndarray, cap: int) -> str:
         """Run simplex on objective ``c`` until optimal or unbounded.
@@ -372,7 +401,7 @@ class _Tableau:
         every basic value is within its bounds ("feasible"), a row proves
         the LP infeasible ("infeasible"), or a row has no entering
         column but no proof either ("stalled")."""
-        movable = (self.u - self.l) > PIVOT_TOL
+        movable = None
         for _ in range(cap):
             xB = self.x[self.basis]
             below = self.l[self.basis] - xB
@@ -380,6 +409,8 @@ class _Tableau:
             violation = np.maximum(below, above)
             if not violation.size or violation.max() <= BOUND_TOL:
                 return "feasible"
+            if movable is None:
+                movable = (self.u - self.l) > PIVOT_TOL
             self.iterations += 1
             r = int(np.argmax(violation))  # most violated row leaves
             rising = below[r] > 0.0
@@ -406,8 +437,7 @@ class _Tableau:
                 margin = 10.0 * FEAS_TOL * max(1.0, float(np.abs(self.B_inv[r]).max()))
                 return "infeasible" if violation[r] - reach > margin else "stalled"
 
-            c = self.asm.cost
-            reduced = c - (c[self.basis] @ self.B_inv) @ self.A
+            reduced = self.reduced_costs()
             cols = np.flatnonzero(candidates)
             ratios = np.abs(reduced[cols]) / np.abs(alpha[cols])
             ties = cols[ratios <= ratios.min() + 1e-12]
@@ -504,7 +534,7 @@ def _optimal(tableau: _Tableau, lower: np.ndarray, upper: np.ndarray) -> LpResul
         raise MintPlanError(f"simplex returned a point violating {label} by {worst[1]:g}")
     return LpResult(
         status="optimal",
-        objective=float(np.dot(asm.problem.objective, x)),
+        objective=float(np.dot(asm.objective, x)),
         x=x,
         basis=tuple(tableau.basis.tolist()),
         iterations=tableau.iterations,
@@ -513,7 +543,8 @@ def _optimal(tableau: _Tableau, lower: np.ndarray, upper: np.ndarray) -> LpResul
 
 
 def _reoptimize(start: _Tableau, lower: np.ndarray, upper: np.ndarray, cap: int) -> LpResult | None:
-    """Dual simplex from ``start`` under new bounds; None on any trouble."""
+    """Dual simplex from ``start`` under new bounds, then the primal
+    phase-2 pass if the dual pivoted; None on any trouble."""
     tableau = start.restarted(lower, upper)
     if tableau is None:
         return None
@@ -522,6 +553,12 @@ def _reoptimize(start: _Tableau, lower: np.ndarray, upper: np.ndarray, cap: int)
         if status == "infeasible":
             # the basis stays dual feasible, so the next solve restarts from it
             return LpResult(status="infeasible", objective=math.nan, iterations=tableau.iterations, _tableau=tableau)
+        if status == "feasible" and tableau.iterations == 0:
+            # every column sits at the bound its reduced cost prefers, so
+            # the primal pass could only confirm: do what it does beyond pricing
+            if tableau._pivots:
+                tableau._refactor()
+            return _optimal(tableau, lower, upper)
         if status == "feasible" and tableau.iterate(tableau.asm.cost, cap) == "optimal":
             return _optimal(tableau, lower, upper)
     except (MintPlanError, np.linalg.LinAlgError):

@@ -1,5 +1,6 @@
 """Tree search against enumeration, and integral repair behavior."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -142,6 +143,15 @@ def test_random_instance_is_deterministic():
     assert np.array_equal(a_scenario.demand, b_scenario.demand)
     assert np.array_equal(a_scenario.initial_inventory, b_scenario.initial_inventory)
     assert a_scenario.disruptions == b_scenario.disruptions
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("horizon", 0), ("n_denoms", 0), ("n_denoms", -1), ("n_blanking_levels", 0), ("n_striking_levels", 0)],
+)
+def test_random_instance_rejects_sizes_below_one(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be 1 or more, got {value}"):
+        random_instance(np.random.default_rng(7), **{name: value})
 
 
 def test_integerize_preserves_cost_and_grain():
@@ -405,26 +415,28 @@ def pivot_path_problems() -> dict:
     return problems
 
 
-def record_pivot_paths() -> dict:
+def lp_path(solve, problem) -> list:
     """Status, iteration count and final basis of every LP that
-    ``solve_mip`` solves on ``pivot_path_problems``."""
-    paths = {}
+    ``solve(problem)`` solves through ``bnb``."""
+    calls = []
     real = bnb.solve_lp
-    for name, problem in pivot_path_problems().items():
-        calls = []
 
-        def spy(*args, **kwargs):
-            res = real(*args, **kwargs)
-            calls.append([res.status, res.iterations, list(res.basis)])
-            return res
+    def spy(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append([res.status, res.iterations, list(res.basis)])
+        return res
 
-        bnb.solve_lp = spy
-        try:
-            solve_mip(problem)
-        finally:
-            bnb.solve_lp = real
-        paths[name] = calls
-    return paths
+    bnb.solve_lp = spy
+    try:
+        solve(problem)
+    finally:
+        bnb.solve_lp = real
+    return calls
+
+
+def record_pivot_paths() -> dict:
+    """The LP path of ``solve_mip`` on each of ``pivot_path_problems``."""
+    return {name: lp_path(solve_mip, problem) for name, problem in pivot_path_problems().items()}
 
 
 def test_tree_search_keeps_its_cold_pivot_path():
@@ -435,6 +447,46 @@ def test_tree_search_keeps_its_cold_pivot_path():
     with PIVOT_PATH.open() as fh:
         want = json.load(fh)
     got = record_pivot_paths()
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name] == want[name], name
+
+
+WARM_PATH = Path(__file__).parent / "golden" / "warm_path.json"
+
+
+def warm_path_problems() -> dict:
+    """The 20 draws of the warm-versus-cold enumeration test and three
+    4-denomination draws, by name."""
+    rng = np.random.default_rng(61)
+    problems = {f"random[{i}]": build(*random_instance(rng)) for i in range(20)}
+    rng = np.random.default_rng(11)
+    for i in range(3):
+        problems[f"random4[{i}]"] = build(*random_instance(rng, n_denoms=4))
+    return problems
+
+
+def record_warm_paths() -> dict:
+    """Per problem of ``warm_path_problems``: the count of enumeration
+    LPs, their total iterations and a SHA-256 of every LP's status,
+    iteration count and basis, in order. No floats go in, so the digest
+    holds across BLAS builds."""
+    paths = {}
+    for name, problem in warm_path_problems().items():
+        calls = lp_path(exhaustive_objective, problem)
+        digest = hashlib.sha256(json.dumps(calls, separators=(",", ":")).encode()).hexdigest()
+        paths[name] = [len(calls), sum(call[1] for call in calls), digest]
+    return paths
+
+
+def test_enumeration_keeps_its_warm_pivot_path():
+    """The enumeration's warm starts are pinned as the tree search's cold
+    path is: a faster restart must reach every LP's answer by the same
+    pivots. To re-record after a deliberate change:
+    ``json.dump(record_warm_paths(), open(WARM_PATH, "w"), indent=1)``."""
+    with WARM_PATH.open() as fh:
+        want = json.load(fh)
+    got = record_warm_paths()
     assert list(got) == list(want)
     for name in want:
         assert got[name] == want[name], name

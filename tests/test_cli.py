@@ -204,6 +204,16 @@ def test_oracle_rejects_oversized_instances(capsys):
     assert "too large for enumeration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--horizon", 0), ("--horizon", -1), ("--denoms", 0), ("--denoms", -2), ("--blanking-levels", 0), ("--striking-levels", -1)],
+)
+def test_oracle_rejects_sizes_below_one(flag, value, capsys):
+    # exit 1 would report a solver mismatch, so a bad size must not crash into it
+    assert main(["oracle", "--trials", "1", flag, str(value)]) == 2
+    assert capsys.readouterr().err == f"{flag} must be 1 or more, got {value}\n"
+
+
 def test_oracle_small_run_agrees(capsys):
     code = main(
         ["oracle", "--trials", "3", "--seed", "1", "--horizon", "1", "--denoms", "1",

@@ -6,7 +6,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mintplan import IterationCapExceeded, LpResult, MintPlanError, Row, StandardFormProblem, VariableIndex, build, random_instance, solve_lp
+from mintplan import (
+    IterationCapExceeded,
+    LpResult,
+    MintPlanError,
+    Row,
+    StandardFormProblem,
+    VariableIndex,
+    build,
+    exhaustive_objective,
+    random_instance,
+    solve_lp,
+)
 from mintplan import lpsolve
 
 from oracles import lp_oracle, random_lp
@@ -276,17 +287,24 @@ def test_slack_start_runs_the_dual_from_the_first_solve(monkeypatch):
     assert warm.objective == pytest.approx(colds[1].objective, abs=1e-9)
 
 
+def long_chain() -> tuple[StandardFormProblem, list, list]:
+    """A 3x3 model, 100 random fixings of its binaries and their cold
+    results, every infeasible fixing first: restarted one from the last,
+    they make a chain of more than REFACTOR_EVERY dual pivots."""
+    problem = build(*random_instance(np.random.default_rng(2026), horizon=3, n_denoms=3))
+    fixings = np.random.default_rng(0).integers(0, 2, (100, len(problem.binaries)))
+    overrides = [{col: (float(v), float(v)) for col, v in zip(problem.binaries, row)} for row in fixings]
+    colds = [solve_lp(problem, bounds_override=override) for override in overrides]
+    order = sorted(range(len(overrides)), key=lambda i: colds[i].status != "infeasible")
+    return problem, [overrides[i] for i in order], [colds[i] for i in order]
+
+
 def test_long_chain_through_infeasible_results_matches_cold(monkeypatch):
     """Infeasible results hand their basis on without a refactorization,
     so the count of product-form updates must carry across restarts:
     along a chain of more than REFACTOR_EVERY pivots, the inverse is
     still refactored after at most that many updates."""
-    problem = build(*random_instance(np.random.default_rng(2026), horizon=3, n_denoms=3))
-    fixings = np.random.default_rng(0).integers(0, 2, (100, len(problem.binaries)))
-    overrides = [{col: (float(v), float(v)) for col, v in zip(problem.binaries, row)} for row in fixings]
-    colds = [solve_lp(problem, bounds_override=override) for override in overrides]
-    # every infeasible LP first, then every feasible one
-    order = sorted(range(len(overrides)), key=lambda i: colds[i].status != "infeasible")
+    problem, overrides, colds = long_chain()
     pivots = updates = longest = 0
     pivot, inv = lpsolve._Tableau._pivot, np.linalg.inv
 
@@ -305,17 +323,109 @@ def test_long_chain_through_infeasible_results_matches_cold(monkeypatch):
     monkeypatch.setattr(lpsolve._Tableau, "_pivot", counted_pivot)
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     last = lpsolve.slack_start(problem)  # one chain: each solve restarts from the last
-    for i in order:
-        if colds[i].status == "optimal" and last.status == "infeasible":
+    for override, cold in zip(overrides, colds):
+        if cold.status == "optimal" and last.status == "infeasible":
             assert pivots > lpsolve.REFACTOR_EVERY  # the infeasible run
-        res = solve_lp(problem, bounds_override=overrides[i], warm_start=last)
-        assert res.status == colds[i].status
+        res = solve_lp(problem, bounds_override=override, warm_start=last)
+        assert res.status == cold.status
         if res.status == "optimal":
-            assert res.objective == pytest.approx(colds[i].objective, abs=1e-9)
+            assert res.objective == pytest.approx(cold.objective, abs=1e-9)
         assert res.can_warm_start
         last = res
     assert {cold.status for cold in colds} == {"infeasible", "optimal"}
     assert longest <= lpsolve.REFACTOR_EVERY
+
+
+def fresh_reduced_costs(tableau) -> np.ndarray:
+    c = tableau.asm.cost
+    return c - (c[tableau.basis] @ tableau.B_inv) @ tableau.A
+
+
+def test_carried_reduced_costs_match_a_fresh_pricing(monkeypatch):
+    """A tableau keeps its reduced costs until a pivot or an inversion
+    changes its inverse, and a restart takes over its source's. Along the
+    long chain, every read of them and every result's copy must equal, bit
+    for bit, what pricing that tableau afresh gives. The model's own costs
+    sit on few columns, so most dual pivots would leave every reduced cost
+    as it was; a positive cost on every column makes them move. The chain
+    runs on through the same fixings shuffled, where an infeasible result
+    that pivoted hands on an inverse that a warm solve without a pivot
+    then refactors."""
+    problem, overrides, _ = long_chain()
+    rng = np.random.default_rng(5)
+    problem = replace(problem, objective=tuple(float(c) for c in rng.uniform(0.5, 2.0, len(problem.columns))))
+    overrides += [overrides[i] for i in rng.permutation(len(overrides))]
+    reads = pivots = inversions = 0
+    reduced_costs, pivot, refactor = lpsolve._Tableau.reduced_costs, lpsolve._Tableau._pivot, lpsolve._Tableau._refactor
+
+    def checked_read(self):
+        nonlocal reads
+        reads += 1
+        reduced = reduced_costs(self)
+        assert reduced.tobytes() == fresh_reduced_costs(self).tobytes()
+        return reduced
+
+    def counted_pivot(self, pos, dq):
+        nonlocal pivots
+        pivots += 1
+        pivot(self, pos, dq)
+
+    def counted_refactor(self):
+        nonlocal inversions
+        inversions += self._pivots > 0
+        refactor(self)
+
+    monkeypatch.setattr(lpsolve._Tableau, "reduced_costs", checked_read)
+    monkeypatch.setattr(lpsolve._Tableau, "_pivot", counted_pivot)
+    monkeypatch.setattr(lpsolve._Tableau, "_refactor", counted_refactor)
+    last = lpsolve.slack_start(problem)
+    for override in overrides:
+        last = solve_lp(problem, bounds_override=override, warm_start=last)
+        carried = last._tableau._reduced
+        if carried is not None:
+            assert carried.tobytes() == fresh_reduced_costs(last._tableau).tobytes()
+    assert pivots > lpsolve.REFACTOR_EVERY and inversions > 0
+    assert reads > len(overrides)
+
+
+def test_a_warm_solve_without_a_pivot_runs_no_primal_pass(monkeypatch):
+    """A restart puts every column at the bound its reduced cost prefers,
+    so when the dual simplex ends feasible without a pivot no column can
+    enter and the primal pass is skipped. Over an enumeration, the primal
+    passes outside cold solves are exactly those of the warm solves the
+    dual pivoted to feasibility."""
+    problem = build(*random_instance(np.random.default_rng(11), n_denoms=4))
+    iterate, dual_iterate, solve_cold = lpsolve._Tableau.iterate, lpsolve._Tableau.dual_iterate, lpsolve._solve_cold
+    warm_passes = pivoted = unpivoted = 0
+    in_cold = False
+
+    def counted_iterate(self, c, cap):
+        nonlocal warm_passes
+        warm_passes += not in_cold
+        return iterate(self, c, cap)
+
+    def counted_dual(self, cap):
+        nonlocal pivoted, unpivoted
+        status = dual_iterate(self, cap)
+        if status == "feasible":
+            pivoted += self.iterations > 0
+            unpivoted += self.iterations == 0
+        return status
+
+    def counted_cold(*args):
+        nonlocal in_cold
+        in_cold = True
+        try:
+            return solve_cold(*args)
+        finally:
+            in_cold = False
+
+    monkeypatch.setattr(lpsolve._Tableau, "iterate", counted_iterate)
+    monkeypatch.setattr(lpsolve._Tableau, "dual_iterate", counted_dual)
+    monkeypatch.setattr(lpsolve, "_solve_cold", counted_cold)
+    exhaustive_objective(problem)
+    assert warm_passes == pivoted
+    assert unpivoted > pivoted > 0
 
 
 def test_slack_start_that_is_not_dual_feasible_falls_back_to_cold():
