@@ -654,13 +654,15 @@ def exhaustive_objective(problem: StandardFormProblem) -> tuple[str, float]:
     Assignments switching two levels of the same ladder on in one
     quarter are skipped: the model's own choice rows make their LPs
     infeasible, so they can never carry the optimum. Levels whose upper
-    bound is 0 (a ``forbid_extra_*`` restriction) are never switched on:
-    each LP fixes the binaries through a bounds override, which replaces
-    the model's own bounds. Every LP runs the dual simplex: the first
-    from the slack basis (``slack_start``), each later one from the last
-    result that carries a dual-feasible basis, whether optimal or proved
-    infeasible, since neighbouring assignments differ in a few bounds. A
-    failed warm start falls back to a cold solve.
+    bound is 0 (a ``forbid_extra_*`` restriction) are never switched on.
+    Every LP solves one copy of the model with each level binary fixed
+    at 0, and a bounds override fixes only the levels its assignment
+    switches on at 1; the bill sums their costs in column order. Every
+    LP runs the dual simplex: the first from that copy's slack basis
+    (``slack_start``), each later one from the last result that carries
+    a dual-feasible basis, whether optimal or proved infeasible, since
+    neighbouring assignments differ in a few bounds. A failed warm start
+    falls back to a cold solve.
     Exponential in the horizon; meant for validating the tree search on
     tiny instances.
     """
@@ -673,21 +675,22 @@ def exhaustive_objective(problem: StandardFormProblem) -> tuple[str, float]:
         cols = sorted(families[key])
         # switch no level on, or exactly one the model's bounds allow
         options.append([None] + [col for col in cols if problem.upper[col] > 0.0])
+    lower, upper = list(problem.lower), list(problem.upper)
+    for col in problem.binaries:
+        lower[col] = upper[col] = 0.0
+    off = replace(problem, lower=tuple(lower), upper=tuple(upper))
 
     best_key = None
     best_objective = math.nan
-    last = slack_start(problem)
+    last = slack_start(off)
     for combo in product(*options):
-        override = {col: (0.0, 0.0) for col in problem.binaries}
-        for col in combo:
-            if col is not None:
-                override[col] = (1.0, 1.0)
-        res = solve_lp(problem, bounds_override=override, warm_start=last)
+        levels = sorted(col for col in combo if col is not None)
+        res = solve_lp(off, bounds_override={col: (1.0, 1.0) for col in levels}, warm_start=last)
         if res.can_warm_start:
             last = res
         if res.status != "optimal":
             continue
-        cost = float(sum(problem.objective[col] * hi for col, (_, hi) in override.items()))
+        cost = float(sum(problem.objective[col] for col in levels))
         k = cost - res.objective  # the LP part of the objective is -K
         if problem.mode == "combined":
             key = (res.objective,)

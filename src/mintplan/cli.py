@@ -202,7 +202,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             n_blanking_levels=args.blanking_levels,
             n_striking_levels=args.striking_levels,
         )
-        problem = build(scenario, config)
+        problem = build(scenario, config, k_max=args.k_max)
         got = solve_mip(problem, node_cap=args.node_cap)
         want_status, want_objective = exhaustive_objective(problem)
         ok = got.status == want_status and (

@@ -41,9 +41,16 @@ phase-1 tolerance, or a final point off its rows.
 A warm solve pays for its bounds change and little else. The reduced
 costs travel with the basis: a tableau prices them once and keeps them
 until a pivot or an inversion changes its basis inverse, and a restart
-takes over those of the result it starts from. The row tolerances, the
+takes over those of the result it starts from. So do the bound sides
+they prefer: a restart source derives each column's side, and the
+status that puts it there, once; every restart from it copies them and
+moves only a tied column whose side the new bounds make infinite, and a
+restart that moves none hands them on to its own result until a pivot,
+an inversion or a primal pass moves a column. The row tolerances, the
 objective and the sign-split matrix of the bound-box screen are kept
-with the assembly, once per problem.
+with the assembly, once per problem, and so are the model's own columns
+that fail a bounds check (unbounded in both directions, or a lower bound
+past the upper): a bounds override is checked on its own entries only.
 
 The structural matrix, right-hand sides, slack layout and bounds are
 assembled with numpy once per problem object: the last assembly is
@@ -166,13 +173,36 @@ class _Assembly:
         self.A_start = np.zeros((m, self.n_total))
         self.A_start[:, :n] = self.A
         self.A_start[self.slack_rows, n + np.arange(len(self.slack_rows))] = self.sense[self.slack_rows]
+        # the model's own columns that fail a bounds check, checked once
+        self.columns = range(n)
+        self.free = frozenset(np.flatnonzero(~np.isfinite(self.lower) & ~np.isfinite(self.upper)).tolist())
+        self.crossed = frozenset(np.flatnonzero(self.lower > self.upper + 1e-12).tolist())
 
-    def bounds(self, bounds_override: dict | None) -> tuple[np.ndarray, np.ndarray]:
+    def bounds(self, bounds_override: dict | None) -> tuple[np.ndarray, np.ndarray, str | None]:
+        """The structural bounds under ``bounds_override``, not to be
+        written to, and what is wrong with them: "free" when a column is
+        unbounded in both directions, else "crossed" when a lower bound
+        exceeds its upper by more than 1e-12, else None. Only the
+        overridden columns are checked here; the model's own were checked
+        at assembly."""
+        if not bounds_override:
+            return self.lower, self.upper, "free" if self.free else "crossed" if self.crossed else None
         lower, upper = self.lower.copy(), self.upper.copy()
-        for col, (lo, hi) in (bounds_override or {}).items():
+        free, crossed = set(self.free), set(self.crossed)
+        for col, (lo, hi) in bounds_override.items():
             lower[col] = lo
             upper[col] = hi
-        return lower, upper
+            col = self.columns[col]  # a negative index names the column it wrote to
+            lo, hi = lower.item(col), upper.item(col)
+            if math.isfinite(lo) or math.isfinite(hi):
+                free.discard(col)
+            else:
+                free.add(col)
+            if lo > hi + 1e-12:
+                crossed.add(col)
+            else:
+                crossed.discard(col)
+        return lower, upper, "free" if free else "crossed" if crossed else None
 
     def box_misses_a_row(self, lower: np.ndarray, upper: np.ndarray) -> bool:
         """Whether some row cannot be met anywhere in the bound box: its
@@ -259,6 +289,7 @@ class _Tableau:
         self.B_inv = np.diag(A[np.arange(m), basis])
         self._pivots = 0  # product-form updates of B_inv since its factorization
         self._reduced = None  # phase-2 reduced costs at this basis and B_inv, once priced
+        self._sides = None  # what restarts from this tableau start from, once derived
         self._recompute_basics()
 
     def reduced_costs(self) -> np.ndarray:
@@ -270,16 +301,36 @@ class _Tableau:
             self._reduced = c - (c[self.basis] @ self.B_inv) @ self.A
         return self._reduced
 
+    def restart_sides(self) -> tuple[np.ndarray, ...]:
+        """What a restart from this tableau starts from, as ``(reduced,
+        up_ties, down_ties, at_upper, status)``: the phase-2 reduced costs,
+        the bound side each column's reduced cost prefers (``at_upper``; a
+        tie keeps its side), the status that puts every nonbasic column
+        there, and the nonbasic ties on each side, the only columns a new
+        bound can move. Derived on first use and kept until a pivot, an
+        inversion or a primal pass moves a column; callers must not write
+        to it."""
+        if self._sides is None:
+            reduced = self.reduced_costs()
+            tie = np.abs(reduced) <= DUAL_TOL
+            at_upper = np.where(tie, self.status == _AT_UPPER, reduced < 0.0)
+            status = np.where(at_upper, _AT_UPPER, _AT_LOWER).astype(np.int8)
+            status[self.basis] = _BASIC
+            tie &= status != _BASIC
+            self._sides = (reduced, np.flatnonzero(tie & at_upper), np.flatnonzero(tie & ~at_upper), at_upper, status)
+        return self._sides
+
     def restarted(self, lower: np.ndarray, upper: np.ndarray) -> _Tableau | None:
         """A copy at this tableau's basis under new structural bounds,
         with every nonbasic column at the bound its phase-2 reduced cost
-        prefers (ties keep their side, so no column is eligible to enter
-        at the start). None when a preferred bound is infinite, so the
-        start is not dual feasible. The copy shares the problem's arrays
-        and takes over this tableau's reduced costs, which do not depend
-        on the bounds."""
+        prefers (ties keep their side unless it is infinite, so no column
+        is eligible to enter at the start). None when a preferred bound
+        is infinite, so the start is not dual feasible. The copy shares
+        the problem's arrays and takes over this tableau's reduced costs,
+        which do not depend on the bounds, and its sides when no tie
+        moved."""
         n = self.n_struct
-        reduced = self.reduced_costs()
+        sides = reduced, up_ties, down_ties, at_upper, status = self.restart_sides()
         new = _Tableau.__new__(_Tableau)
         new.asm, new.n_struct, new.A, new.b, new.art_cols = self.asm, n, self.A, self.b, self.art_cols
         new.need_phase1, new.iterations = False, 0
@@ -287,18 +338,22 @@ class _Tableau:
         new.u = np.concatenate((upper, self.u[n:]))
         new.basis, new.B_inv = self.basis.copy(), self.B_inv.copy()
         new._pivots, new._reduced = self._pivots, reduced
-
-        tie = np.abs(reduced) <= DUAL_TOL
-        at_upper = np.where(tie, self.status == _AT_UPPER, reduced < 0.0)
-        at_upper[tie & ~np.isfinite(new.l)] = True
-        at_upper[tie & ~np.isfinite(new.u)] = False
+        if np.isfinite(new.u[up_ties]).all() and np.isfinite(new.l[down_ties]).all():
+            new._sides, new.status = sides, status.copy()
+        else:
+            # a tie whose side is now infinite takes the other side
+            ties = np.concatenate((up_ties, down_ties))
+            at_upper = at_upper.copy()
+            at_upper[ties[~np.isfinite(new.l[ties])]] = True
+            at_upper[ties[~np.isfinite(new.u[ties])]] = False
+            new._sides = None
+            new.status = np.where(at_upper, _AT_UPPER, _AT_LOWER).astype(np.int8)
+            new.status[new.basis] = _BASIC
         new.x = np.where(at_upper, new.u, new.l)
-        new.status = np.where(at_upper, _AT_UPPER, _AT_LOWER).astype(np.int8)
-        new.status[new.basis] = _BASIC
         new.x[new.basis] = 0.0
-        if not np.all(np.isfinite(new.x)):
+        if not np.isfinite(new.x).all():
             return None
-        new._recompute_basics()
+        new.x[new.basis] = new.B_inv @ (new.b - new.A @ new.x)
         return new
 
     def _refactor(self) -> None:
@@ -308,7 +363,7 @@ class _Tableau:
         if self._pivots:
             self.B_inv = np.linalg.inv(self.A[:, self.basis])
             self._pivots = 0
-            self._reduced = None
+            self._reduced = self._sides = None
         self._recompute_basics()
 
     def _recompute_basics(self) -> None:
@@ -323,7 +378,7 @@ class _Tableau:
         self.B_inv[rows] -= dq[rows, None] * pivot_row
         self.B_inv[pos] = pivot_row
         self._pivots += 1
-        self._reduced = None
+        self._reduced = self._sides = None
 
     def iterate(self, c: np.ndarray, cap: int) -> str:
         """Run simplex on objective ``c`` until optimal or unbounded.
@@ -332,6 +387,7 @@ class _Tableau:
         the basis for the length of the loop; ``self.x`` gets the basic
         values back before every return, and refactorizations recompute
         them from the nonbasic ones."""
+        self._sides = None  # a bound flip moves a column without a pivot
         basis, l, u, A, x, status = self.basis, self.l, self.u, self.A, self.x, self.status
         movable = (u - l) > PIVOT_TOL
         # +1 at the lower bound, -1 at the upper, 0 when basic or fixed: a
@@ -431,7 +487,7 @@ class _Tableau:
                 gain = np.abs(alpha[helps])
                 span = self.u[helps] - self.l[helps]
                 finite = np.isfinite(span)
-                if np.any(~finite & (gain > 1e-12 * max(1.0, float(np.abs(alpha).max())))):
+                if (~finite & (gain > 1e-12 * max(1.0, float(np.abs(alpha).max())))).any():
                     return "stalled"
                 reach = float(np.sum(gain[finite] * span[finite]))
                 margin = 10.0 * FEAS_TOL * max(1.0, float(np.abs(self.B_inv[r]).max()))
@@ -597,7 +653,12 @@ def solve_lp(
 
     Binary markers are ignored, so binaries range over their [0, 1]
     bounds. ``bounds_override`` maps column index to a (lower, upper)
-    pair and is how branch-and-bound fixes binaries. ``warm_start``, a
+    pair and is how branch-and-bound fixes binaries. A column left
+    unbounded in both directions (a NaN bound counts as infinite) raises
+    MintPlanError, and a lower bound above its upper by more than 1e-12
+    makes the LP infeasible, whether the model or the override sets
+    them; the checks read the override's entries and nothing more of the
+    model's columns than the assembly recorded. ``warm_start``, a
     result of this problem object that ``can_warm_start`` (an optimal or
     dual-proven infeasible one under other bounds, or the problem's
     ``slack_start``), makes the solve reoptimize from that basis by dual
@@ -609,10 +670,10 @@ def solve_lp(
     cap = iteration_cap if iteration_cap is not None else 50 * (len(problem.rows) + len(problem.columns))
     start = _start_from(problem, warm_start)
     asm = start.asm if start is not None else _assembly(problem)
-    lower, upper = asm.bounds(bounds_override)
-    if np.any(~np.isfinite(lower) & ~np.isfinite(upper)):
+    lower, upper, trouble = asm.bounds(bounds_override)
+    if trouble == "free":
         raise MintPlanError("columns unbounded in both directions are not supported")
-    if np.any(lower > upper + 1e-12):
+    if trouble == "crossed":
         return LpResult(status="infeasible", objective=math.nan)
     if start is not None:
         result = _reoptimize(start, lower, upper, cap)

@@ -17,6 +17,7 @@ from mintplan import (
     load_scenario,
     parse_lp_text,
 )
+from mintplan import cli
 from mintplan.cli import main
 
 
@@ -221,6 +222,30 @@ def test_oracle_small_run_agrees(capsys):
     )
     assert code == 0
     assert "3 trials, 0 mismatches" in capsys.readouterr().out
+
+
+def test_oracle_rejects_a_negative_k_max(capsys):
+    assert main(["oracle", "--trials", "3", "--k-max", "-1"]) == 2
+    assert "k_max must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_oracle_builds_with_the_k_max_it_is_given(capsys, monkeypatch):
+    ceilings = []
+    real = cli.build
+
+    def spy(scenario, config, **kwargs):
+        problem = real(scenario, config, **kwargs)
+        ceilings.append(problem.upper[problem.column_index("K")])
+        return problem
+
+    monkeypatch.setattr(cli, "build", spy)
+    code = main(
+        ["oracle", "--trials", "3", "--seed", "1", "--horizon", "1", "--denoms", "1",
+         "--blanking-levels", "1", "--striking-levels", "1", "--k-max", "0.5"]
+    )
+    assert code == 0
+    assert "3 trials, 0 mismatches" in capsys.readouterr().out
+    assert ceilings == [0.5] * 3
 
 
 def test_version_banner(capsys):

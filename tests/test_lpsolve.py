@@ -1,5 +1,6 @@
 """Bounded-variable simplex behavior, checked by hand and by oracle."""
 
+import copy
 import math
 from dataclasses import replace
 
@@ -93,6 +94,47 @@ def test_negative_lower_bounds():
 def test_free_columns_are_rejected():
     with pytest.raises(MintPlanError, match="unbounded in both directions"):
         solve_lp(small_lp([1.0], [], [-math.inf], [math.inf]))
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize(
+    "lower, upper, override, want",
+    [
+        ([0, 0], [5, 5], {0: (-INF, INF)}, "raises"),  # frees a column both ways
+        ([0, 0], [5, 5], {-2: (-INF, INF)}, "raises"),  # the same column by a negative index
+        ([0, 0], [5, 5], {0: (NAN, NAN)}, "raises"),
+        ([0, 0], [5, 5], {0: (NAN, INF)}, "raises"),
+        ([0, 0], [5, 5], {0: (2.0, 1.0)}, "infeasible"),
+        ([0, 0], [5, 5], {0: (1.0 + 2e-12, 1.0)}, "infeasible"),
+        ([0, 0], [5, 5], {-1: (2.0, 1.0)}, "infeasible"),
+        ([0, 0], [5, 5], {0: (1.0 + 5e-13, 1.0)}, -7.0),  # crossed within 1e-12
+        ([3, 0], [2, 5], {0: (1.0, 2.0)}, -7.0),  # a crossed model column boxed again
+        ([3, 0], [2, 5], {1: (1.0, 2.0)}, "infeasible"),  # ... or left crossed
+        ([-INF, 0], [INF, 5], {0: (0.0, 3.0)}, -8.0),  # a free model column boxed
+        ([-INF, 0], [INF, 5], {1: (0.0, 3.0)}, "raises"),  # ... or left free
+        ([0, -INF], [5, INF], {-1: (0.0, 1.0)}, -5.0),
+        ([3, 0], [2, 5], {1: (-INF, INF)}, "raises"),  # a free column outranks a crossed one
+    ],
+)
+def test_bounds_checks_read_the_model_and_the_override(lower, upper, override, want, warm):
+    """Unbounded-both-ways columns raise and crossed bounds are infeasible,
+    whether the model or the override makes them so, and an override
+    that boxes a bad model column again clears it."""
+    problem = small_lp([-1.0, -2.0], [Row("r[0]", ((0, 1.0), (1, 1.0)), "<=", 4.0)], lower, upper)
+    start = lpsolve.slack_start(problem) if warm else None
+    if want == "raises":
+        with pytest.raises(MintPlanError, match="unbounded in both directions"):
+            solve_lp(problem, bounds_override=override, warm_start=start)
+        return
+    res = solve_lp(problem, bounds_override=override, warm_start=start)
+    if want == "infeasible":
+        assert res.status == "infeasible" and math.isnan(res.objective) and res.x is None
+    else:
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(want, abs=1e-9)
 
 
 def test_bounds_override_pins_columns():
@@ -386,6 +428,102 @@ def test_carried_reduced_costs_match_a_fresh_pricing(monkeypatch):
             assert carried.tobytes() == fresh_reduced_costs(last._tableau).tobytes()
     assert pivots > lpsolve.REFACTOR_EVERY and inversions > 0
     assert reads > len(overrides)
+
+
+def fresh_sides(tableau, derive=None) -> tuple:
+    """What ``restart_sides`` (or ``derive``, its unpatched self) derives
+    for ``tableau`` with nothing kept."""
+    clone = copy.copy(tableau)
+    clone._reduced = clone._sides = None
+    return (derive or lpsolve._Tableau.restart_sides)(clone)
+
+
+def same_sides(a: tuple, b: tuple) -> bool:
+    return len(a) == len(b) and all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def test_restarts_from_one_source_match_restarts_from_fresh_copies():
+    """A source derives its sides once; every later restart from it, and
+    from copies that took them over, starts as a restart from a copy of
+    the source with nothing kept. Two free columns with zero cost tie:
+    the optimum leaves z at its upper bound and w at its lower, so boxes
+    that make those bounds infinite send them to the other side, and the
+    restart derives its own sides."""
+    rows = [Row("r[0]", ((0, 1.0), (1, 1.0)), "<=", 4.0)]
+    problem = small_lp([-1.0, -2.0, 0.0, 0.0], rows, [0.0, 0.0, -INF, 0.0], [10.0, 10.0, 5.0, 5.0])
+    source = solve_lp(problem)
+    assert source.status == "optimal" and source._tableau.status.tolist()[2:4] == [lpsolve._AT_UPPER, lpsolve._AT_LOWER]
+    overrides = [
+        {2: (0.0, INF), 3: (-INF, 5.0)},  # each tie's side goes infinite
+        {0: (1.0, 1.0)},
+        {1: (0.0, 2.0)},
+        {0: (1.0, 1.0)},
+        {2: (0.0, INF), 3: (-INF, 5.0)},
+    ]
+
+    def fresh_copy(result):
+        tableau = copy.copy(result._tableau)
+        tableau._reduced = tableau._sides = None
+        return replace(result, _tableau=tableau)
+
+    for start in (source, solve_lp(problem, bounds_override={0: (1.0, 1.0)}, warm_start=source)):
+        derived = start._tableau.restart_sides()
+        assert same_sides(derived, fresh_sides(start._tableau))
+        for override in overrides:
+            got = solve_lp(problem, bounds_override=override, warm_start=start)
+            want = solve_lp(problem, bounds_override=override, warm_start=fresh_copy(start))
+            assert got.status == "optimal" and same_result(got, want), override
+            assert got._tableau.status.tobytes() == want._tableau.status.tobytes()
+            assert start._tableau.restart_sides() is derived  # derived once
+            if got._tableau._sides is not None:
+                assert same_sides(got._tableau._sides, fresh_sides(got._tableau))
+        moved = solve_lp(problem, bounds_override=overrides[0], warm_start=start)
+        assert moved.x[2] == 0.0 and moved.x[3] == 5.0
+
+
+def test_cached_sides_match_a_fresh_derivation(monkeypatch):
+    """A restart takes over its source's sides, and keeps them until a
+    pivot, an inversion or a primal pass moves a column. Along the long
+    chain with a positive cost on every column (so pivots move the
+    reduced costs), shuffled so that warm solves without a pivot refactor
+    inverses that infeasible results handed on, every read of the sides
+    and every result's kept sides must equal a fresh derivation, bit for
+    bit."""
+    problem, overrides, _ = long_chain()
+    rng = np.random.default_rng(5)
+    problem = replace(problem, objective=tuple(float(c) for c in rng.uniform(0.5, 2.0, len(problem.columns))))
+    overrides += [overrides[i] for i in rng.permutation(len(overrides))]
+    reads = kept = pivots = inversions = 0
+    restart_sides, pivot, refactor = lpsolve._Tableau.restart_sides, lpsolve._Tableau._pivot, lpsolve._Tableau._refactor
+
+    def checked_read(self):
+        nonlocal reads, kept
+        reads += 1
+        kept += self._sides is not None
+        sides = restart_sides(self)
+        assert same_sides(sides, fresh_sides(self, restart_sides))
+        return sides
+
+    def counted_pivot(self, pos, dq):
+        nonlocal pivots
+        pivots += 1
+        pivot(self, pos, dq)
+
+    def counted_refactor(self):
+        nonlocal inversions
+        inversions += self._pivots > 0
+        refactor(self)
+
+    monkeypatch.setattr(lpsolve._Tableau, "restart_sides", checked_read)
+    monkeypatch.setattr(lpsolve._Tableau, "_pivot", counted_pivot)
+    monkeypatch.setattr(lpsolve._Tableau, "_refactor", counted_refactor)
+    last = lpsolve.slack_start(problem)
+    for override in overrides:
+        last = solve_lp(problem, bounds_override=override, warm_start=last)
+        if last.can_warm_start and last._tableau._sides is not None:
+            assert same_sides(last._tableau._sides, fresh_sides(last._tableau, restart_sides))
+    assert pivots > lpsolve.REFACTOR_EVERY and inversions > 0
+    assert reads == len(overrides) and 0 < kept < reads
 
 
 def test_a_warm_solve_without_a_pivot_runs_no_primal_pass(monkeypatch):
