@@ -14,6 +14,12 @@ at its optimum with one extra equality row and maximize K. When no
 binary has a negative cost, the K pass at a bill of 0 runs first: most
 replans need no paid shift, and for them that one search is the whole
 solve. Only when it is infeasible do the two passes run.
+
+The root node solves the model under its own bounds, so a binary fixed
+before the search is fixed in the model: the integerizer escalates a
+blocked repair by raising the next level's lower bound to 1 on a copy of
+the model, which keeps every earlier escalation's bound, and re-solves
+that copy.
 """
 
 from __future__ import annotations
@@ -80,16 +86,7 @@ def _branch_column(problem: StandardFormProblem, x: np.ndarray) -> int | None:
     return best_col
 
 
-def _branch_and_bound(
-    problem: StandardFormProblem,
-    *,
-    node_budget: list,
-    fixed: dict | None,
-) -> np.ndarray | None:
-    base_override = {col: (float(v), float(v)) for col, v in (fixed or {}).items()}
-    if any(not problem.lower[col] <= v <= problem.upper[col] for col, (v, _) in base_override.items()):
-        return None  # a fix outside the model's bounds, such as a forbidden level
-
+def _branch_and_bound(problem: StandardFormProblem, *, node_budget: list) -> np.ndarray | None:
     def solve_node(override: dict):
         node_budget[0] -= 1
         if node_budget[0] < 0:
@@ -97,13 +94,13 @@ def _branch_and_bound(
         res = solve_lp(problem, bounds_override=override)
         return res.status, res.objective, res.x  # not the solver arrays the result carries
 
-    status, objective, x = solve_node(base_override)
+    status, objective, x = solve_node({})
     if status == "unbounded":
         raise MintPlanError("the relaxation is unbounded; every column should have finite bounds")
     if status != "optimal":
         return None
 
-    heap = [(objective, 0, base_override, x)]
+    heap = [(objective, 0, {}, x)]
     seq = 1
     while heap:
         bound, _, override, x = heapq.heappop(heap)
@@ -181,14 +178,13 @@ def solve_mip(
     problem: StandardFormProblem,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    fixed: dict | None = None,
 ) -> Solution:
     """Solve the model to optimality over its binaries.
 
-    ``fixed`` maps binary columns to forced 0/1 values (used by the
-    integerizer's shift escalation). A value outside the column's model
-    bounds, such as 1 on a level a ``forbid_extra_*`` restriction fixed
-    at 0, makes the solution infeasible.
+    Binaries are fixed through the model's own bounds: a lower bound of
+    1 switches a level on, as the integerizer's escalation does, and one
+    on a level whose upper bound a ``forbid_extra_*`` restriction zeroed
+    is a crossed column, which makes the solve infeasible.
 
     A lexicographic solve whose binaries all cost 0 or more first tries
     the K pass at a bill of 0: a plan found there is the optimum, since
@@ -198,7 +194,7 @@ def solve_mip(
     """
     budget = [node_cap]
     if problem.mode == "combined":
-        x = _branch_and_bound(problem, node_budget=budget, fixed=fixed)
+        x = _branch_and_bound(problem, node_budget=budget)
         if x is None:
             return Solution(status="infeasible", objective=math.nan, cost=math.nan, k=math.nan)
         return _extract_solution(problem, x)
@@ -206,17 +202,17 @@ def solve_mip(
     # lexicographic: a zero bill when one exists, else cost first, then K
     # with the cost pinned
     if all(problem.objective[col] >= 0.0 for col in problem.binaries):
-        x = _branch_and_bound(_cost_locked(problem, 0.0), node_budget=budget, fixed=fixed)
+        x = _branch_and_bound(_cost_locked(problem, 0.0), node_budget=budget)
         if x is not None:
             return _extract_solution(problem, x)
     cost_objective = list(problem.objective)
     cost_objective[problem.column_index("K")] = 0.0
     phase1 = replace(problem, objective=tuple(cost_objective))
-    x1 = _branch_and_bound(phase1, node_budget=budget, fixed=fixed)
+    x1 = _branch_and_bound(phase1, node_budget=budget)
     if x1 is None:
         return Solution(status="infeasible", objective=math.nan, cost=math.nan, k=math.nan)
     best_cost = float(sum(problem.objective[col] * round(x1[col]) for col in problem.binaries))
-    x2 = _branch_and_bound(_cost_locked(problem, best_cost), node_budget=budget, fixed=fixed)
+    x2 = _branch_and_bound(_cost_locked(problem, best_cost), node_budget=budget)
     if x2 is None:  # the phase-1 point satisfies the lock, so this cannot happen
         raise MintPlanError("cost-locked second pass lost feasibility")
     return _extract_solution(problem, x2)
@@ -555,7 +551,6 @@ def integerize(
     *,
     granularity: float = 1.0,
     node_cap: int = DEFAULT_NODE_CAP,
-    _depth: int = 0,
 ) -> Solution:
     """Round a relaxed plan to production granules and repair the damage.
 
@@ -567,79 +562,64 @@ def integerize(
     first, then stock floors are repaired by greedily adding granules at
     the largest deficit, never crossing the capacity the model's rows
     give the solution's shift levels; inside quarters whose total is
-    pinned, granules are traded between denominations instead. When no
-    increment can be placed within capacity, the next level above the
-    solution's is forced, ``problem`` is re-solved, and the cost delta is
-    reported in notes; a repair blocked by the vault alone (or by pinned
-    stock with nothing to trade) raises RepairInfeasibleError. The result
-    keeps the cost and shifts of the solution it repaired, not those of
-    its usage.
+    pinned, granules are traded between denominations instead.
+
+    When no increment can be placed within capacity, the repair
+    escalates: it raises to 1 the lower bound of the level above the
+    solution's on a blocked process and quarter, on a copy of the model
+    that keeps every earlier escalation's bound, re-solves that copy and
+    repairs its solution. Each escalation switches on a level the
+    previous solution left off, so there are at most as many as the
+    model has binaries. Every escalation leaves a note with its cost
+    delta from ``solution``. A repair no escalation can unblock (the
+    vault, pinned stock with nothing to trade, or no feasible next
+    level) raises RepairInfeasibleError. The result keeps the cost and
+    shifts of the solution it repaired, not those of its usage.
     """
     if solution.status != "optimal":
         raise ValueError("only optimal solutions can be integerized")
     if not (math.isfinite(granularity) and granularity > 0):
         raise ValueError(f"granularity must be finite and positive, got {granularity}")
 
-    work = _Repair(problem, solution, scenario, granularity)
-    unresolved = work.restore_equalities()
-    for label in unresolved:
-        work.notes.append(f"could not restore injected equality {label}")
-    blocked = work.repair_floors()
+    given_cost = solution.cost
+    n_levels = {"blanking": problem.n_blanking_levels, "annealing": 1, "striking": problem.n_striking_levels}
+    while True:
+        work = _Repair(problem, solution, scenario, granularity)
+        for label in work.restore_equalities():
+            work.notes.append(f"could not restore injected equality {label}")
+        blocked = work.repair_floors()
+        if blocked is None:
+            plan = MintingPlan(orders=work.f, inventory=work.inventory())
+            return replace(solution, plan=plan, notes=solution.notes + tuple(work.notes))
 
-    if blocked is not None:
         # an empty block list means nothing capacity-shaped stood in the
         # way (vault or pinned stock), so no higher shift level can help
-        max_depth = 2 + problem.horizon * (problem.n_blanking_levels + problem.n_striking_levels + 1)
-        if blocked and _depth < max_depth:
-            n_levels = {
-                "blanking": problem.n_blanking_levels,
-                "annealing": 1,
-                "striking": problem.n_striking_levels,
-            }
-            ordered = sorted(
-                blocked,
-                key=lambda pair: (_BRANCH_RANK[_KIND_OF_PROCESS[pair[1]]], -pair[0]),
+        ordered = sorted(blocked, key=lambda pair: (_BRANCH_RANK[_KIND_OF_PROCESS[pair[1]]], -pair[0]))
+        for t_e, process in ordered:
+            new_level = solution.shifts.levels(process)[t_e] + 1
+            if new_level > n_levels[process]:
+                continue
+            kind = _KIND_OF_PROCESS[process]
+            lower = list(problem.lower)
+            lower[problem.column_index(kind, t_e, None if kind == "h" else new_level)] = 1.0
+            escalated_problem = replace(problem, lower=tuple(lower))
+            try:
+                escalated = solve_mip(escalated_problem, node_cap=node_cap)
+            except NodeCapExceeded:
+                continue
+            if escalated.status == "optimal":
+                break
+        else:
+            partial = MintingPlan(orders=work.f, inventory=work.inventory())
+            raise RepairInfeasibleError(
+                "could not repair stock floors within the available capacity", partial_plan=partial
             )
-            for t_e, process in ordered:
-                new_level = solution.shifts.levels(process)[t_e] + 1
-                if new_level > n_levels[process]:
-                    continue
-                kind = _KIND_OF_PROCESS[process]
-                col = problem.column_index(kind, t_e, None if kind == "h" else new_level)
-                try:
-                    escalated = solve_mip(problem, fixed={col: 1.0}, node_cap=node_cap)
-                except NodeCapExceeded:
-                    continue
-                if escalated.status != "optimal":
-                    continue
-                delta = escalated.cost - solution.cost
-                escalated = replace(
-                    escalated,
-                    notes=escalated.notes
-                    + (
-                        f"escalated {process} to level {new_level} in quarter {t_e}; "
-                        f"cost delta {delta:+g}",
-                    ),
-                )
-                return integerize(
-                    problem,
-                    escalated,
-                    scenario,
-                    granularity=granularity,
-                    node_cap=node_cap,
-                    _depth=_depth + 1,
-                )
-        partial = MintingPlan(orders=work.f, inventory=work.inventory())
-        raise RepairInfeasibleError(
-            "could not repair stock floors within the available capacity", partial_plan=partial
+        note = (
+            f"escalated {process} to level {new_level} in quarter {t_e}; "
+            f"cost delta {escalated.cost - given_cost:+g}"
         )
-
-    plan = MintingPlan(orders=work.f, inventory=work.inventory())
-    return replace(
-        solution,
-        plan=plan,
-        notes=solution.notes + tuple(work.notes),
-    )
+        problem = escalated_problem
+        solution = replace(escalated, notes=solution.notes + (note,))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,8 @@ an inversion or a primal pass moves a column. The row tolerances, the
 objective and the sign-split matrix of the bound-box screen are kept
 with the assembly, once per problem, and so are the model's own columns
 that fail a bounds check (unbounded in both directions, or a lower bound
-past the upper): a bounds override is checked on its own entries only.
+past the upper or NaN beside a finite one): a bounds override is checked
+on its own entries only.
 
 The structural matrix, right-hand sides, slack layout and bounds are
 assembled with numpy once per problem object: the last assembly is
@@ -176,15 +177,15 @@ class _Assembly:
         # the model's own columns that fail a bounds check, checked once
         self.columns = range(n)
         self.free = frozenset(np.flatnonzero(~np.isfinite(self.lower) & ~np.isfinite(self.upper)).tolist())
-        self.crossed = frozenset(np.flatnonzero(self.lower > self.upper + 1e-12).tolist())
+        self.crossed = frozenset(np.flatnonzero(~(self.lower <= self.upper + 1e-12)).tolist())
 
     def bounds(self, bounds_override: dict | None) -> tuple[np.ndarray, np.ndarray, str | None]:
         """The structural bounds under ``bounds_override``, not to be
         written to, and what is wrong with them: "free" when a column is
         unbounded in both directions, else "crossed" when a lower bound
-        exceeds its upper by more than 1e-12, else None. Only the
-        overridden columns are checked here; the model's own were checked
-        at assembly."""
+        exceeds its upper by more than 1e-12 or is NaN beside a finite
+        upper (or the reverse), else None. Only the overridden columns
+        are checked here; the model's own were checked at assembly."""
         if not bounds_override:
             return self.lower, self.upper, "free" if self.free else "crossed" if self.crossed else None
         lower, upper = self.lower.copy(), self.upper.copy()
@@ -198,7 +199,7 @@ class _Assembly:
                 free.discard(col)
             else:
                 free.add(col)
-            if lo > hi + 1e-12:
+            if not lo <= hi + 1e-12:  # a NaN beside a finite bound too
                 crossed.add(col)
             else:
                 crossed.discard(col)
@@ -655,17 +656,18 @@ def solve_lp(
     bounds. ``bounds_override`` maps column index to a (lower, upper)
     pair and is how branch-and-bound fixes binaries. A column left
     unbounded in both directions (a NaN bound counts as infinite) raises
-    MintPlanError, and a lower bound above its upper by more than 1e-12
-    makes the LP infeasible, whether the model or the override sets
-    them; the checks read the override's entries and nothing more of the
-    model's columns than the assembly recorded. ``warm_start``, a
-    result of this problem object that ``can_warm_start`` (an optimal or
-    dual-proven infeasible one under other bounds, or the problem's
-    ``slack_start``), makes the solve reoptimize from that basis by dual
-    simplex; any other ``warm_start``, or a failed reoptimization, gives
-    the cold solve. The default iteration budget is 50 * (rows + columns)
-    per phase; exceeding it raises IterationCapExceeded rather than
-    returning a wrong answer.
+    MintPlanError, and a lower bound above its upper by more than 1e-12,
+    or a NaN bound beside a finite one, makes the LP infeasible, whether
+    the model or the override sets them; the checks read the override's
+    entries and nothing more of the model's columns than the assembly
+    recorded. ``warm_start``, a result of this problem object that
+    ``can_warm_start`` (an optimal or dual-proven infeasible one under
+    other bounds, or the problem's ``slack_start``), makes the solve
+    reoptimize from that basis by dual simplex; any other
+    ``warm_start``, or a failed reoptimization, gives the cold solve.
+    The default iteration budget is 50 * (rows + columns) per phase;
+    exceeding it raises IterationCapExceeded rather than returning a
+    wrong answer.
     """
     cap = iteration_cap if iteration_cap is not None else 50 * (len(problem.rows) + len(problem.columns))
     start = _start_from(problem, warm_start)

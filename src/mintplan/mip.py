@@ -564,11 +564,6 @@ def check_solution(problem: StandardFormProblem, assignment: Sequence[float], to
     return out
 
 
-def objective_value(problem: StandardFormProblem, assignment: Sequence[float]) -> float:
-    x = np.asarray(assignment, dtype=float)
-    return float(np.dot(np.asarray(problem.objective), x))
-
-
 # ---------------------------------------------------------------------------
 # solution <-> assignment
 # ---------------------------------------------------------------------------

@@ -284,15 +284,6 @@ def scaled_breakpoints(
     return tuple(b * scale for b in breaks)
 
 
-def effective_capacity(config: MintConfig, scenario: Scenario, quarter: int, process: str) -> tuple[float, ...]:
-    """Scenario-aware breakpoints for one quarter and process."""
-    if process not in PROCESSES:
-        raise ValueError(f"unknown process {process!r}")
-    if not 0 <= quarter < scenario.horizon:
-        raise ValueError(f"quarter {quarter} outside horizon {scenario.horizon}")
-    return scaled_breakpoints(config, scenario.disruptions, quarter, process)
-
-
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Check the scenario's data invariants.
 

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from mintplan import Row, StandardFormProblem, VariableIndex
+from mintplan import StandardFormProblem
+from mintplan.mip import Row, VariableIndex
 
 FEAS_TOL = 1e-7
 

@@ -110,12 +110,22 @@ def test_enumeration_skips_forbidden_levels():
             assert got.objective == pytest.approx(want_objective, abs=1e-6)
 
 
+def fix(problem, col, value):
+    """``problem`` with binary ``col`` fixed at ``value`` through its own
+    bounds, as the integerizer's escalation fixes a level: 1 raises the
+    lower bound, 0 drops the upper one, so a fix the model's bounds rule
+    out leaves the column crossed."""
+    lower, upper = list(problem.lower), list(problem.upper)
+    (lower if value else upper)[col] = value
+    return replace(problem, lower=tuple(lower), upper=tuple(upper))
+
+
 def test_a_fix_on_a_forbidden_level_is_infeasible():
     scenario, config = load_fixture("tiny.json")
     problem = restrict(build(scenario, config), (InjectedConstraint("forbid_extra_striking", 0),))
     col = problem.column_index("a", 0, 1)
-    assert solve_mip(problem, fixed={col: 1.0}).status == "infeasible"
-    assert solve_mip(problem, fixed={col: 0.0}).status == "optimal"
+    assert solve_mip(fix(problem, col, 1.0)).status == "infeasible"
+    assert solve_mip(fix(problem, col, 0.0)).status == "optimal"
 
 
 def test_node_cap_is_enforced():
@@ -130,7 +140,7 @@ def test_fixed_binaries_are_respected():
     problem = build(scenario, config)
     base = solve_mip(problem)
     col = problem.column_index("h", 0)  # force a pointless annealing shift
-    forced = solve_mip(problem, fixed={col: 1.0})
+    forced = solve_mip(fix(problem, col, 1.0))
     assert forced.status == "optimal"
     assert forced.shifts.annealing[0] == 1
     assert shift_cost(forced.shifts, config) == forced.cost
@@ -276,8 +286,10 @@ def test_built_and_parsed_models_solve_alike():
     for scenario, config, forced in cases:
         built = build(scenario, config)
         parsed = parse_lp_text(export_lp_text(built))
-        fixed = None if forced is None else {built.column_index(*forced): 1.0}
-        a, b = solve_mip(built, fixed=fixed), solve_mip(parsed, fixed=fixed)
+        if forced is not None:
+            col = built.column_index(*forced)
+            built, parsed = fix(built, col, 1.0), fix(parsed, col, 1.0)
+        a, b = solve_mip(built), solve_mip(parsed)
         assert a.status == b.status
         if a.status != "optimal":
             continue
@@ -324,6 +336,79 @@ def test_integerize_swaps_stock_inside_a_pinned_quarter():
     assert any("under a pinned total" in note for note in whole.notes)
     rebuilt = restrict(build(scenario, config), injections)
     assert check_solution(rebuilt, assignment_from_solution(rebuilt, whole)) == []
+
+
+def test_integerize_trades_under_both_pinned_totals():
+    """With the coin count and the blanking load both pinned, a floor is
+    repaired by a trade that keeps both where they are."""
+    scenario, config = draw(np.random.default_rng(2026), 50, horizon=2, n_denoms=3)
+    injections = (InjectedConstraint("force_base_striking", 0), InjectedConstraint("force_base_blanking", 0))
+    problem = restrict(build(scenario, config), injections)
+    whole = integerize(problem, solve_mip(problem), scenario)
+    assert whole.injections == injections
+    assert (
+        "traded 0.134332 coins toward denomination 2 in quarter 0 to repair a stock floor under a pinned total"
+        in whole.notes
+    )
+    rebuilt = restrict(build(scenario, config), injections)
+    assert check_solution(rebuilt, assignment_from_solution(rebuilt, whole)) == []
+
+
+def draw(rng, index, **sizes):
+    """Draw ``index`` (0-based) of ``random_instance`` on ``rng``."""
+    for _ in range(index):
+        random_instance(rng, **sizes)
+    return random_instance(rng, **sizes)
+
+
+def integerize_counting_solves(scenario, config):
+    """``integerize`` on the model's optimum, with the ``solve_mip``
+    calls it makes: the result or the RepairInfeasibleError raised, and
+    the count."""
+    problem = build(scenario, config)
+    sol = solve_mip(problem)
+    calls = 0
+    real = bnb.solve_mip
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bnb, "solve_mip", counted)
+        try:
+            outcome = integerize(problem, sol, scenario)
+        except RepairInfeasibleError as exc:
+            outcome = exc
+    return problem, sol, outcome, calls
+
+
+def test_escalations_accumulate():
+    """Each escalation keeps the levels earlier ones switched on. On this
+    draw, escalating with only the newest fix alternates between two
+    levels until a depth cap (12 re-solves) and then gives up; kept, three
+    escalations reach a plan that repairs, each noted with its delta from
+    the solution first given."""
+    scenario, config = draw(np.random.default_rng(4242), 36)
+    problem, sol, whole, calls = integerize_counting_solves(scenario, config)
+    assert not isinstance(whole, RepairInfeasibleError)
+    escalations = [note for note in whole.notes if note.startswith("escalated")]
+    assert [note.rsplit(" ", 1)[1] for note in escalations] == ["+18.7556", "+37.5113", "+45.2145"]
+    assert calls <= len(problem.binaries)
+    assert whole.cost == pytest.approx(sol.cost + 45.2145, abs=1e-4)
+    assert whole.cost == shift_cost(whole.shifts, config)
+    rebuilt = restrict(build(scenario, config), whole.injections)
+    assert check_solution(rebuilt, assignment_from_solution(rebuilt, whole)) == []
+
+
+@pytest.mark.parametrize("index", [0, 18, 35])
+def test_an_unrepairable_draw_gives_up_within_its_binaries(index):
+    scenario, config = draw(np.random.default_rng(4242), index)
+    problem, _, outcome, calls = integerize_counting_solves(scenario, config)
+    assert isinstance(outcome, RepairInfeasibleError)
+    assert calls <= len(problem.binaries)
+    assert calls < 12  # the depth cap's count of re-solves
 
 
 def test_infeasible_scenarios_report_cleanly():
@@ -551,14 +636,14 @@ def test_enumeration_answers_match_an_override_of_every_binary():
     assert statuses == {"optimal", "infeasible"}
 
 
-def two_pass_reference(problem, fixed=None):
+def two_pass_reference(problem):
     """The lexicographic solve as two searches and nothing else: minimize
     the bill with K's reward off, then maximize K with the bill pinned
     at that optimum by an equality row."""
     budget = [bnb.DEFAULT_NODE_CAP]
     k_col = problem.column_index("K")
     cost_objective = tuple(0.0 if col == k_col else c for col, c in enumerate(problem.objective))
-    x1 = bnb._branch_and_bound(replace(problem, objective=cost_objective), node_budget=budget, fixed=fixed)
+    x1 = bnb._branch_and_bound(replace(problem, objective=cost_objective), node_budget=budget)
     if x1 is None:
         return bnb.Solution(status="infeasible", objective=math.nan, cost=math.nan, k=math.nan)
     bill = float(sum(problem.objective[col] * round(x1[col]) for col in problem.binaries))
@@ -570,7 +655,7 @@ def two_pass_reference(problem, fixed=None):
     )
     k_objective = tuple(-1.0 if col == k_col else 0.0 for col in range(len(problem.columns)))
     locked = replace(problem, objective=k_objective, rows=problem.rows + (lock,))
-    return bnb._extract_solution(problem, bnb._branch_and_bound(locked, node_budget=budget, fixed=fixed))
+    return bnb._extract_solution(problem, bnb._branch_and_bound(locked, node_budget=budget))
 
 
 def same_answer(a, b) -> bool:
@@ -607,10 +692,10 @@ def test_zero_bill_attempt_returns_the_two_pass_answer():
         assert same_answer(solve_mip(problem), two_pass_reference(problem)), name
     tiny = problems["tiny.json"]
     for paid in (("a", 1, 1), ("a", 0, 2), ("c", 0, 1), ("h", 1)):
-        fixed = {tiny.column_index(*paid): 1.0}
-        got = solve_mip(tiny, fixed=fixed)
+        escalated = fix(tiny, tiny.column_index(*paid), 1.0)
+        got = solve_mip(escalated)
         assert got.status == "optimal" and got.cost > 0.0
-        assert same_answer(got, two_pass_reference(tiny, fixed=fixed)), paid
+        assert same_answer(got, two_pass_reference(escalated)), paid
 
 
 def test_a_zero_bill_solve_is_one_search():

@@ -11,15 +11,14 @@ from mintplan import (
     IterationCapExceeded,
     LpResult,
     MintPlanError,
-    Row,
     StandardFormProblem,
-    VariableIndex,
     build,
     exhaustive_objective,
     random_instance,
     solve_lp,
 )
 from mintplan import lpsolve
+from mintplan.mip import Row, VariableIndex
 
 from oracles import lp_oracle, random_lp
 
@@ -107,6 +106,11 @@ INF, NAN = math.inf, math.nan
         ([0, 0], [5, 5], {-2: (-INF, INF)}, "raises"),  # the same column by a negative index
         ([0, 0], [5, 5], {0: (NAN, NAN)}, "raises"),
         ([0, 0], [5, 5], {0: (NAN, INF)}, "raises"),
+        ([0, 0], [5, 5], {0: (NAN, 3.0)}, "infeasible"),  # a NaN beside a finite bound is crossed
+        ([0, 0], [5, 5], {0: (3.0, NAN)}, "infeasible"),
+        ([NAN, 0], [3, 5], {}, "infeasible"),  # as a parsed "nan <= f[0,0] <= 3" gives
+        ([NAN, 0], [3, 5], {1: (0.0, 5.0)}, "infeasible"),
+        ([NAN, 0], [3, 5], {0: (0.0, 3.0)}, -8.0),
         ([0, 0], [5, 5], {0: (2.0, 1.0)}, "infeasible"),
         ([0, 0], [5, 5], {0: (1.0 + 2e-12, 1.0)}, "infeasible"),
         ([0, 0], [5, 5], {-1: (2.0, 1.0)}, "infeasible"),

@@ -15,15 +15,13 @@ from mintplan import (
     Scenario,
     build,
     check_solution,
-    choose_mode,
     export_lp_text,
     load_scenario,
-    objective_value,
     parse_lp_text,
     restrict,
     scaled_breakpoints,
 )
-from mintplan.mip import level_capacity
+from mintplan.mip import choose_mode, level_capacity
 
 CFG1 = MintConfig(
     blanking_breakpoints=(20.0, 28.0),
@@ -181,12 +179,6 @@ def test_check_solution_flags_each_violation_kind():
 
     with pytest.raises(ValueError):
         check_solution(problem, [1.0, 2.0])
-
-
-def test_objective_value_matches_hand_sum():
-    problem = build(one_quarter_scenario(), CFG1)
-    x = np.array([75.0, 45.0, 0.0, 0.0, 1.0, 1.5])
-    assert objective_value(problem, x) == pytest.approx(9.0 - 1.5)
 
 
 def test_injected_constraints_add_labeled_rows():

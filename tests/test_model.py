@@ -16,7 +16,6 @@ from mintplan import (
     ScenarioFormatError,
     ShiftSelection,
     dump_scenario,
-    effective_capacity,
     load_scenario,
     scaled_breakpoints,
     scenario_to_dict,
@@ -150,15 +149,6 @@ def test_scaled_breakpoints_compose():
     assert scaled_breakpoints(CFG, dis, 1, "striking") == (28.0, 36.0, 42.0)
     assert scaled_breakpoints(CFG, dis, 0, "striking") == (70.0, 90.0, 105.0)
     assert scaled_breakpoints(CFG, dis, 0, "blanking") == (18.0, 25.2, 30.6)
-
-
-def test_effective_capacity_validates_inputs():
-    s = make_scenario()
-    assert effective_capacity(CFG, s, 0, "striking") == (70.0, 90.0, 105.0)
-    with pytest.raises(ValueError):
-        effective_capacity(CFG, s, 0, "polishing")
-    with pytest.raises(ValueError):
-        effective_capacity(CFG, s, 9, "striking")
 
 
 def test_shift_selection_validation():
