@@ -32,9 +32,10 @@ from itertools import product
 import numpy as np
 
 from .lpsolve import slack_start, solve_lp
-from .mip import Row, StandardFormProblem, level_capacity
+from .mip import _BINARY_KIND_BY_PROCESS, _PROCESS_BY_KIND, Row, StandardFormProblem, _level_column, level_capacity
 from .model import (
     BOUNDARY_TOL,
+    PROCESSES,
     CoinSpec,
     Disruption,
     MintConfig,
@@ -51,8 +52,6 @@ INT_TOL = 1e-6
 #: Default limit on LP relaxations solved per MIP solve.
 DEFAULT_NODE_CAP = 1_000_000
 
-_PROCESS_OF_KIND = {"c": "blanking", "h": "annealing", "a": "striking"}
-_KIND_OF_PROCESS = {"blanking": "c", "annealing": "h", "striking": "a"}
 _BRANCH_RANK = {"a": 0, "c": 1, "h": 2}
 
 
@@ -121,17 +120,13 @@ def _branch_and_bound(problem: StandardFormProblem, *, node_budget: list) -> np.
 
 def _shifts_from_binaries(problem: StandardFormProblem, x: np.ndarray) -> ShiftSelection:
     T = problem.horizon
-    levels = {"blanking": [0] * T, "annealing": [0] * T, "striking": [0] * T}
+    levels = {process: [0] * T for process in PROCESSES}
     for col in problem.binaries:
         if x[col] > 0.5:
             var = problem.columns[col]
-            process = _PROCESS_OF_KIND[var.kind]
+            process = _PROCESS_BY_KIND[var.kind]
             levels[process][var.quarter] = var.index if var.index is not None else 1
-    return ShiftSelection(
-        blanking=tuple(levels["blanking"]),
-        annealing=tuple(levels["annealing"]),
-        striking=tuple(levels["striking"]),
-    )
+    return ShiftSelection(**levels)
 
 
 def _extract_solution(problem: StandardFormProblem, x: np.ndarray) -> Solution:
@@ -582,7 +577,6 @@ def integerize(
         raise ValueError(f"granularity must be finite and positive, got {granularity}")
 
     given_cost = solution.cost
-    n_levels = {"blanking": problem.n_blanking_levels, "annealing": 1, "striking": problem.n_striking_levels}
     while True:
         work = _Repair(problem, solution, scenario, granularity)
         for label in work.restore_equalities():
@@ -594,14 +588,13 @@ def integerize(
 
         # an empty block list means nothing capacity-shaped stood in the
         # way (vault or pinned stock), so no higher shift level can help
-        ordered = sorted(blocked, key=lambda pair: (_BRANCH_RANK[_KIND_OF_PROCESS[pair[1]]], -pair[0]))
+        ordered = sorted(blocked, key=lambda pair: (_BRANCH_RANK[_BINARY_KIND_BY_PROCESS[pair[1]]], -pair[0]))
         for t_e, process in ordered:
             new_level = solution.shifts.levels(process)[t_e] + 1
-            if new_level > n_levels[process]:
+            if new_level > problem.n_levels(process):
                 continue
-            kind = _KIND_OF_PROCESS[process]
             lower = list(problem.lower)
-            lower[problem.column_index(kind, t_e, None if kind == "h" else new_level)] = 1.0
+            lower[_level_column(problem, process, t_e, new_level)] = 1.0
             escalated_problem = replace(problem, lower=tuple(lower))
             try:
                 escalated = solve_mip(escalated_problem, node_cap=node_cap)

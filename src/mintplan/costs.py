@@ -16,6 +16,7 @@ import numpy as np
 
 from .model import (
     BOUNDARY_TOL,
+    PROCESSES,
     CoinSpec,
     Disruption,
     MintConfig,
@@ -89,24 +90,24 @@ def step_level(value: float, breaks: Sequence[float], process: str, quarter: int
     raise CapacityExceededError(process, value, breaks[-1], quarter)
 
 
-def _step_cost(value: float, breaks: Sequence[float], level_costs: Sequence[float], process: str, quarter: int | None) -> float:
-    lvl = step_level(value, breaks, process, quarter)
-    return 0.0 if lvl == 0 else float(level_costs[lvl - 1])
+def level_cost(config: MintConfig, process: str, level: int) -> float:
+    """Price of ``process``'s extra level ``level`` (0.0 for the base)."""
+    return 0.0 if level == 0 else float(config.level_costs(process)[level - 1])
 
 
 def blanking_cost(days: float, config: MintConfig) -> float:
     """Extra-shift cost for a blanking load of ``days`` working days."""
-    return _step_cost(days, config.blanking_breakpoints, config.blanking_costs, "blanking", None)
+    return level_cost(config, "blanking", step_level(days, config.breakpoints("blanking"), "blanking", None))
 
 
 def annealing_cost(tons: float, config: MintConfig) -> float:
     """Extra-shift cost for an annealing load of ``tons`` tons."""
-    return _step_cost(tons, (config.annealing_base, config.annealing_max), (config.annealing_cost,), "annealing", None)
+    return level_cost(config, "annealing", step_level(tons, config.breakpoints("annealing"), "annealing", None))
 
 
 def striking_cost(count: float, config: MintConfig) -> float:
     """Extra-shift cost for striking ``count`` million coins."""
-    return _step_cost(count, config.striking_breakpoints, config.striking_costs, "striking", None)
+    return level_cost(config, "striking", step_level(count, config.breakpoints("striking"), "striking", None))
 
 
 def usage_cost(
@@ -118,9 +119,9 @@ def usage_cost(
     """Total extra-shift cost of one quarter's usage, with the quarter's
     disruptions applied to the breakpoints."""
     total = 0.0
-    for process in ("blanking", "annealing", "striking"):
+    for process in PROCESSES:
         breaks = scaled_breakpoints(config, disruptions, quarter, process)
-        total += _step_cost(u.for_process(process), breaks, config.level_costs(process), process, quarter)
+        total += level_cost(config, process, step_level(u.for_process(process), breaks, process, quarter))
     return total
 
 
@@ -133,7 +134,7 @@ def usage_levels(
     """Minimal covering (blanking, annealing, striking) levels for one
     quarter's usage under the quarter's effective breakpoints."""
     out = []
-    for process in ("blanking", "annealing", "striking"):
+    for process in PROCESSES:
         breaks = scaled_breakpoints(config, disruptions, quarter, process)
         out.append(step_level(u.for_process(process), breaks, process, quarter))
     return tuple(out)
@@ -177,11 +178,10 @@ def minimal_shifts(
 def shift_cost(shifts: ShiftSelection, config: MintConfig) -> float:
     """Cost implied by an explicit shift selection."""
     total = 0.0
-    for process in ("blanking", "annealing", "striking"):
-        level_costs = config.level_costs(process)
+    for process in PROCESSES:
+        n_levels = len(config.level_costs(process))
         for lvl in shifts.levels(process):
-            if lvl > len(level_costs):
-                raise ValueError(f"{process} level {lvl} exceeds the ladder ({len(level_costs)} levels)")
-            if lvl > 0:
-                total += level_costs[lvl - 1]
+            if lvl > n_levels:
+                raise ValueError(f"{process} level {lvl} exceeds the ladder ({n_levels} levels)")
+            total += level_cost(config, process, lvl)
     return total

@@ -124,7 +124,6 @@ def procedure1(
     model: StandardFormProblem,
     solution: Solution,
     *,
-    strict_objective: bool = False,
     granularity: float = 1.0,
     node_cap: int = DEFAULT_NODE_CAP,
     events: list | None = None,
@@ -134,14 +133,13 @@ def procedure1(
     ``model`` is the unrestricted model ``solution`` was solved on.
     Checks striking first, then blanking against the current plan. Each
     firing guard re-solves with the base capacity pinned to full use
-    and accepts only when the extra-shift bill is unchanged (with
-    ``strict_objective`` the whole objective, including the safety
-    reward, must be unchanged). When neither guard fires the input
-    solution is returned untouched. A blanking fill on a plan whose coin
-    count is already pinned is recorded as "restricted model infeasible"
-    without a solve when the pinned count proves it: Z coins load
-    blanking with at least min rate * Z and at most max rate * Z, and a
-    base outside that band cannot be met.
+    and accepts only when the extra-shift bill is unchanged. When
+    neither guard fires the input solution is returned untouched. A
+    blanking fill on a plan whose coin count is already pinned is
+    recorded as "restricted model infeasible" without a solve when the
+    pinned count proves it: Z coins load blanking with at least
+    min rate * Z and at most max rate * Z, and a base outside that band
+    cannot be met.
     """
     if solution.status != "optimal":
         raise ValueError("procedure1 needs an optimal solution to refine")
@@ -169,12 +167,8 @@ def procedure1(
             reason = "restricted model infeasible"
         else:
             delta = candidate.cost - current.cost
-            if strict_objective:
-                accepted = abs(candidate.objective - current.objective) <= ACCEPT_TOL
-                reason = "objective unchanged" if accepted else "objective moved"
-            else:
-                accepted = abs(delta) <= ACCEPT_TOL
-                reason = "cost unchanged" if accepted else "cost moved"
+            accepted = abs(delta) <= ACCEPT_TOL
+            reason = "cost unchanged" if accepted else "cost moved"
         if events is not None:
             events.append(
                 HeuristicEvent(
@@ -251,7 +245,6 @@ def run_heuristics(
     use_proc1: bool = True,
     use_proc2: bool = True,
     order: str = "proc2-first",
-    strict_objective: bool = False,
     granularity: float = 1.0,
     node_cap: int = DEFAULT_NODE_CAP,
     events: list | None = None,
@@ -271,7 +264,6 @@ def run_heuristics(
                 scenario,
                 model,
                 current,
-                strict_objective=strict_objective,
                 granularity=granularity,
                 node_cap=node_cap,
                 events=events,
@@ -295,7 +287,6 @@ def solve_pipeline(
     use_proc1: bool = False,
     use_proc2: bool = False,
     order: str = "proc2-first",
-    strict_objective: bool = False,
     granularity: float = 1.0,
     k_max: float = DEFAULT_K_MAX,
     node_cap: int = DEFAULT_NODE_CAP,
@@ -325,7 +316,6 @@ def solve_pipeline(
             use_proc1=use_proc1,
             use_proc2=use_proc2,
             order=order,
-            strict_objective=strict_objective,
             granularity=granularity,
             node_cap=node_cap,
             events=events,

@@ -1,7 +1,7 @@
 """Mixed-integer model construction, auditing, and a text dump format.
 
 The decision variables for a horizon of T quarters and D denominations
-are laid out in one flat column vector:
+are laid out in one flat column vector, in this order:
 
 * ``f[t,d]``  production order (millions of coins), continuous
 * ``E[t,d]``  end-of-quarter inventory, continuous
@@ -10,15 +10,23 @@ are laid out in one flat column vector:
 * ``a[t,j]``  striking extra level j selected in quarter t, binary
 * ``K``       safety-stock multiplier, continuous in [0, k_max]
 
+Each block runs quarter by quarter, so quarter t of a process owns
+``n_levels(process)`` consecutive level columns (annealing's ladder
+has the one level ``h``); ``StandardFormProblem.n_levels`` reads that
+count off the columns.
+
 The objective charges every selected extra level and rewards ``K``.
-Capacity rows let at most one extra level per process and quarter raise
-the free base capacity by that level's increment; inventory rows tie
-stocks to orders and demand; floor, vault, and terminal rows bound the
-stocks. ``restrict`` adds first-quarter restrictions to a built model,
-reading them off its rows: forcing the base capacity to be fully used
-appends that capacity row's order terms as an equality, and forbidding
-a process's extra levels zeroes that quarter's level-binary upper
-bounds. ``level_capacity`` reads what a capacity row allows at a level.
+``build`` writes the three processes in one loop: a process's capacity
+row charges each order its per-coin load (blanking days, alloy tons, or
+one coin) and lets at most one extra level, picked by the level-choice
+row, raise the free base capacity by that level's own step (its
+breakpoint minus the one below). Inventory rows tie stocks to orders
+and demand; floor, vault, and terminal rows bound the stocks.
+``restrict`` adds first-quarter restrictions to a built model, reading
+them off its rows: forcing the base capacity to be fully used appends
+that capacity row's order terms as an equality, and forbidding a
+process's extra levels zeroes that quarter's level-binary upper bounds.
+``level_capacity`` reads what a capacity row allows at a level.
 """
 
 from __future__ import annotations
@@ -33,25 +41,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .model import (
+    PROCESSES,
     MintConfig,
     MintPlanError,
     Scenario,
     Solution,
     scaled_breakpoints,
     validate_scenario,
-)
-
-#: Row-label families produced by ``build``, in emission order.
-ROW_FAMILIES = (
-    "annealing_capacity",
-    "striking_capacity",
-    "striking_level_choice",
-    "blanking_capacity",
-    "blanking_level_choice",
-    "inventory_balance",
-    "terminal_stock",
-    "vault_capacity",
-    "operating_floor",
 )
 
 #: Injected restriction kinds: the ``force_base_*`` kinds add a row
@@ -64,6 +60,10 @@ INJECTED_FAMILIES = (
     "forbid_extra_blanking",
     "forbid_extra_annealing",
 )
+
+#: The kind of each process's level binaries, and its inverse.
+_BINARY_KIND_BY_PROCESS = {"blanking": "c", "annealing": "h", "striking": "a"}
+_PROCESS_BY_KIND = {kind: process for process, kind in _BINARY_KIND_BY_PROCESS.items()}
 
 LP_HEADER = "mintplan-lp v1"
 
@@ -235,12 +235,17 @@ class StandardFormProblem:
         return 1 + max(v.index for v in self.columns if v.kind == "f")
 
     @cached_property
-    def n_blanking_levels(self) -> int:
-        return max((v.index for v in self.columns if v.kind == "c"), default=0)
+    def _level_counts(self) -> dict:
+        counts = dict.fromkeys(PROCESSES, 0)
+        for v in self.columns:
+            if v.kind in _PROCESS_BY_KIND:
+                process = _PROCESS_BY_KIND[v.kind]
+                counts[process] = max(counts[process], v.index or 1)
+        return counts
 
-    @cached_property
-    def n_striking_levels(self) -> int:
-        return max((v.index for v in self.columns if v.kind == "a"), default=0)
+    def n_levels(self, process: str) -> int:
+        """How many extra levels ``process``'s ladder has (annealing: 1)."""
+        return self._level_counts[process]
 
     @property
     def k_max(self) -> float:
@@ -264,9 +269,7 @@ def _cost_gap(config: MintConfig, horizon: int, cap: int = 200_000) -> float | N
     horizon, and enumerating it is about half the cost of ``build``; a
     rolling simulation rebuilds its model every epoch over a handful of
     (config, horizon) pairs, so the result is cached per pair."""
-    blanking = {0.0} | set(config.blanking_costs)
-    annealing = {0.0, config.annealing_cost}
-    striking = {0.0} | set(config.striking_costs)
+    blanking, annealing, striking = ({0.0, *config.level_costs(process)} for process in PROCESSES)
     per_quarter = sorted({b + a + s for b in blanking for a in annealing for s in striking})
     totals = {0.0}
     for _ in range(horizon):
@@ -307,64 +310,38 @@ def build(
 
     s, cfg = scenario, config
     T, D = s.horizon, s.n_denoms
-    nc, na = cfg.n_blanking_levels, cfg.n_striking_levels
-    rates = np.array([spec.blanking_rate for spec in s.coin_specs])
-    weights = np.array([spec.alloy_weight for spec in s.coin_specs])
-
-    off_f = 0
-    off_e = T * D
-    off_c = 2 * T * D
-    off_h = off_c + T * nc
-    off_a = off_h + T
-    col_k = off_a + T * na
-    n_cols = col_k + 1
+    # what one million coins of each denomination load onto each process
+    load = {
+        "blanking": [spec.blanking_rate for spec in s.coin_specs],
+        "annealing": [spec.alloy_weight for spec in s.coin_specs],
+        "striking": [1.0] * D,
+    }
+    eff = {process: [scaled_breakpoints(cfg, s.disruptions, t, process) for t in range(T)] for process in PROCESSES}
 
     def f(t: int, d: int) -> int:
-        return off_f + t * D + d
+        return t * D + d
 
     def e(t: int, d: int) -> int:
-        return off_e + t * D + d
+        return T * D + t * D + d
 
-    def c(t: int, i: int) -> int:
-        return off_c + t * nc + (i - 1)
-
-    def h(t: int) -> int:
-        return off_h + t
-
-    def a(t: int, j: int) -> int:
-        return off_a + t * na + (j - 1)
-
-    columns: list[VariableIndex] = []
-    for kind, off in (("f", off_f), ("E", off_e)):
-        for t in range(T):
-            for d in range(D):
-                columns.append(VariableIndex(kind=kind, column=off + t * D + d, quarter=t, index=d))
-    for t in range(T):
-        for i in range(1, nc + 1):
-            columns.append(VariableIndex(kind="c", column=c(t, i), quarter=t, index=i))
-    for t in range(T):
-        columns.append(VariableIndex(kind="h", column=h(t), quarter=t))
-    for t in range(T):
-        for j in range(1, na + 1):
-            columns.append(VariableIndex(kind="a", column=a(t, j), quarter=t, index=j))
-    columns.append(VariableIndex(kind="K", column=col_k))
-    columns.sort(key=lambda v: v.column)
-
+    columns = [VariableIndex(kind="f", column=f(t, d), quarter=t, index=d) for t in range(T) for d in range(D)]
+    columns += [VariableIndex(kind="E", column=e(t, d), quarter=t, index=d) for t in range(T) for d in range(D)]
     # lists rather than arrays, so the tuples stored below share a few
     # float objects instead of holding a fresh float per column
-    objective = [0.0] * n_cols
-    for t in range(T):
-        for i in range(1, nc + 1):
-            objective[c(t, i)] = float(cfg.blanking_costs[i - 1])
-        objective[h(t)] = float(cfg.annealing_cost)
-        for j in range(1, na + 1):
-            objective[a(t, j)] = float(cfg.striking_costs[j - 1])
-    objective[col_k] = -1.0
-
-    eff = {
-        process: [scaled_breakpoints(cfg, s.disruptions, t, process) for t in range(T)]
-        for process in ("blanking", "annealing", "striking")
-    }
+    objective = [0.0] * len(columns)
+    levels = {}  # process -> per quarter, the columns of extra levels 1..n
+    for process in PROCESSES:
+        kind = _BINARY_KIND_BY_PROCESS[process]
+        level_costs = cfg.level_costs(process)
+        levels[process] = []
+        for t in range(T):
+            levels[process].append(range(len(columns), len(columns) + len(level_costs)))
+            for j, cost in enumerate(level_costs, 1):
+                columns.append(VariableIndex(kind=kind, column=len(columns), quarter=t, index=None if kind == "h" else j))
+                objective.append(float(cost))
+    col_k = len(columns)
+    columns.append(VariableIndex(kind="K", column=col_k))
+    objective.append(-1.0)
 
     def terms(pairs: Iterable[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
         kept = [(col, float(coeff)) for col, coeff in pairs if coeff != 0.0]
@@ -377,60 +354,31 @@ def build(
         return Row(label=_canonical(label), coeffs=coeffs, relation=relation, rhs=rhs)
 
     rows: list[Row] = []
-    for t in range(T):
-        yb = eff["annealing"][t]
-        rows.append(
-            row(
-                label=f"annealing_capacity[{t}]",
-                coeffs=terms([(f(t, d), weights[d]) for d in range(D)] + [(h(t), -(yb[1] - yb[0]))]),
-                relation="<=",
-                rhs=yb[0],
+    # the row order sets the simplex's pivot path, which tests/golden/pivot_path.json pins
+    for process in ("annealing", "striking", "blanking"):
+        for t in range(T):
+            b = eff[process][t]
+            rows.append(
+                row(
+                    label=f"{process}_capacity[{t}]",
+                    coeffs=terms(
+                        [(f(t, d), load[process][d]) for d in range(D)]
+                        + [(col, -(b[j] - b[j - 1])) for j, col in enumerate(levels[process][t], 1)]
+                    ),
+                    relation="<=",
+                    rhs=b[0],
+                )
             )
-        )
-    for t in range(T):
-        zb = eff["striking"][t]
-        rows.append(
-            row(
-                label=f"striking_capacity[{t}]",
-                coeffs=terms(
-                    [(f(t, d), 1.0) for d in range(D)]
-                    + [(a(t, j), -(zb[j] - zb[j - 1])) for j in range(1, na + 1)]
-                ),
-                relation="<=",
-                rhs=zb[0],
-            )
-        )
-    for t in range(T):
-        rows.append(
-            row(
-                label=f"striking_level_choice[{t}]",
-                coeffs=terms([(a(t, j), 1.0) for j in range(1, na + 1)]),
-                relation="<=",
-                rhs=1.0,
-            )
-        )
-    for t in range(T):
-        xb = eff["blanking"][t]
-        rows.append(
-            row(
-                label=f"blanking_capacity[{t}]",
-                coeffs=terms(
-                    [(f(t, d), rates[d]) for d in range(D)]
-                    + [(c(t, i), -(xb[i] - xb[i - 1])) for i in range(1, nc + 1)]
-                ),
-                relation="<=",
-                rhs=xb[0],
-            )
-        )
-    for t in range(T):
-        rows.append(
-            row(
-                label=f"blanking_level_choice[{t}]",
-                coeffs=terms([(c(t, i), 1.0) for i in range(1, nc + 1)]),
-                relation="<=",
-                rhs=1.0,
-            )
-        )
+        if process != "annealing":  # a one-level ladder needs no choice row
+            for t in range(T):
+                rows.append(
+                    row(
+                        label=f"{process}_level_choice[{t}]",
+                        coeffs=terms([(col, 1.0) for col in levels[process][t]]),
+                        relation="<=",
+                        rhs=1.0,
+                    )
+                )
     for t in range(T):
         for d in range(D):
             if t == 0:
@@ -469,31 +417,17 @@ def build(
                 )
             )
 
-    upper = [0.0] * n_cols
-    vault_cap = float(s.vault_cap)
-    for t in range(T):
-        f_cap = float(eff["striking"][t][-1])
-        for d in range(D):
-            upper[f(t, d)] = f_cap
-            upper[e(t, d)] = vault_cap
-    binaries = []
-    for t in range(T):
-        for i in range(1, nc + 1):
-            binaries.append(c(t, i))
-        binaries.append(h(t))
-        for j in range(1, na + 1):
-            binaries.append(a(t, j))
-    for col in binaries:
-        upper[col] = 1.0
-    upper[col_k] = float(k_max)
+    binaries = tuple(range(2 * T * D, col_k))
+    upper = [float(eff["striking"][t][-1]) for t in range(T) for _ in range(D)]  # orders: the top striking level
+    upper += [float(s.vault_cap)] * (T * D) + [1.0] * len(binaries) + [float(k_max)]
 
     return StandardFormProblem(
         columns=_shared_layout(tuple(columns))[0],
         objective=tuple(objective),
         rows=tuple(rows),
-        lower=(0.0,) * n_cols,
+        lower=(0.0,) * len(columns),
         upper=tuple(upper),
-        binaries=tuple(sorted(binaries)),
+        binaries=binaries,
         mode=choose_mode(cfg, T, k_max),
     )
 
@@ -521,10 +455,8 @@ def restrict(problem: StandardFormProblem, injected: Sequence[InjectedConstraint
             orders = tuple((col, coeff) for col, coeff in capacity.coeffs if problem.columns[col].kind == "f")
             rows.append(Row(label=inj.label, coeffs=orders, relation="=", rhs=capacity.rhs))
         else:
-            kind = _BINARY_KIND_BY_PROCESS[inj.process]
-            for col in problem.binaries:
-                if problem.columns[col].kind == kind and problem.columns[col].quarter == q:
-                    upper[col] = 0.0
+            for level in range(1, problem.n_levels(inj.process) + 1):
+                upper[_level_column(problem, inj.process, q, level)] = 0.0
     return replace(problem, rows=tuple(rows), upper=tuple(upper), injected=problem.injected + injected)
 
 
@@ -535,9 +467,13 @@ def level_capacity(problem: StandardFormProblem, process: str, quarter: int, lev
     row = problem.row_by_label[f"{process}_capacity[{quarter}]"]
     if level == 0:
         return row.rhs
+    return row.rhs - dict(row.coeffs).get(_level_column(problem, process, quarter, level), 0.0)
+
+
+def _level_column(problem: StandardFormProblem, process: str, quarter: int, level: int) -> int:
+    """The column of ``process``'s extra level ``level`` in ``quarter``."""
     kind = _BINARY_KIND_BY_PROCESS[process]
-    col = problem.column_index(kind, quarter, None if kind == "h" else level)
-    return row.rhs - dict(row.coeffs).get(col, 0.0)
+    return problem.column_index(kind, quarter, None if kind == "h" else level)
 
 
 def check_solution(problem: StandardFormProblem, assignment: Sequence[float], tol: float = CHECK_TOL) -> list[str]:
@@ -568,17 +504,13 @@ def check_solution(problem: StandardFormProblem, assignment: Sequence[float], to
 # solution <-> assignment
 # ---------------------------------------------------------------------------
 
-_BINARY_KIND_BY_PROCESS = {"blanking": "c", "annealing": "h", "striking": "a"}
-
-#: The restriction that zeroes a level binary's upper bound, by its kind.
-_FORBID_BY_KIND = {kind: f"forbid_extra_{process}" for process, kind in _BINARY_KIND_BY_PROCESS.items()}
-
 
 def assignment_from_solution(problem: StandardFormProblem, solution: Solution) -> np.ndarray:
     """Rebuild a full column assignment from a solution.
 
     Orders, stocks, K, and each ladder's level binaries come straight
-    from the solution.
+    from the solution; a level the model's ladder lacks raises
+    ValueError.
     """
     if solution.status != "optimal":
         raise ValueError("only optimal solutions can be turned into assignments")
@@ -590,23 +522,13 @@ def assignment_from_solution(problem: StandardFormProblem, solution: Solution) -
             x[problem.column_index("E", t, d)] = solution.plan.inventory[t, d]
     x[problem.column_index("K")] = solution.k
 
-    n_levels = {
-        "blanking": problem.n_blanking_levels,
-        "annealing": 1,
-        "striking": problem.n_striking_levels,
-    }
-    for process in ("blanking", "annealing", "striking"):
+    for process in PROCESSES:
         for t, level in enumerate(solution.shifts.levels(process)):
-            _set_level(problem, x, _BINARY_KIND_BY_PROCESS[process], t, level, n_levels[process])
+            if level > problem.n_levels(process):
+                raise ValueError(f"{process} level {level} exceeds the model's ladder ({problem.n_levels(process)} levels)")
+            if level:
+                x[_level_column(problem, process, t, level)] = 1.0
     return x
-
-
-def _set_level(problem: StandardFormProblem, x: np.ndarray, kind: str, quarter: int, level: int, n_levels: int) -> None:
-    if kind == "h":
-        x[problem.column_index("h", quarter)] = 1.0 if level >= 1 else 0.0
-        return
-    for idx in range(1, n_levels + 1):
-        x[problem.column_index(kind, quarter, idx)] = 1.0 if idx == level else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +589,10 @@ def _parse_terms(text: str, column_of: dict) -> tuple[tuple[int, float], ...]:
 
 def parse_lp_text(text: str) -> StandardFormProblem:
     """Inverse of ``export_lp_text``.
+
+    The ``binary`` section must list every shift-level column once and
+    nothing else, and the mode must be one ``StandardFormProblem`` knows;
+    any other document raises ``LpFormatError``.
 
     ``injected`` is recovered from the model: first the restrictions
     whose rows appear, in row order, then one ``forbid_extra_*`` per
@@ -743,27 +669,35 @@ def parse_lp_text(text: str) -> StandardFormProblem:
         if family in INJECTED_FAMILIES:
             injected.append(InjectedConstraint(kind=family, quarter=int(label[len(family) + 1:-1])))
 
-    binaries = []
+    binaries: set[int] = set()
     for ln in sections["binary"]:
         if ln not in column_of:
             raise LpFormatError(f"binary section references unknown column {ln!r}")
-        binaries.append(column_of[ln])
+        if column_of[ln] in binaries:
+            raise LpFormatError(f"binary section lists {ln!r} twice")
+        if columns[column_of[ln]].kind not in _PROCESS_BY_KIND:
+            raise LpFormatError(f"binary section lists {ln!r}, which is no shift level")
+        binaries.add(column_of[ln])
+    for var in columns:
+        if var.kind in _PROCESS_BY_KIND and var.column not in binaries:
+            raise LpFormatError(f"binary section leaves out the shift level {var.name!r}")
     ladders: dict[tuple[str, int], list[int]] = {}  # (kind, quarter) -> level binaries
     for col in sorted(binaries):
-        var = columns[col]
-        if var.kind in _FORBID_BY_KIND:
-            ladders.setdefault((var.kind, var.quarter), []).append(col)
+        ladders.setdefault((columns[col].kind, columns[col].quarter), []).append(col)
     for (kind, quarter), cols in ladders.items():
         if all(upper[col] == 0.0 for col in cols):
-            injected.append(InjectedConstraint(kind=_FORBID_BY_KIND[kind], quarter=quarter))
+            injected.append(InjectedConstraint(kind=f"forbid_extra_{_PROCESS_BY_KIND[kind]}", quarter=quarter))
 
-    return StandardFormProblem(
-        columns=tuple(columns),
-        objective=tuple(objective),
-        rows=tuple(rows),
-        lower=tuple(lower),
-        upper=tuple(upper),
-        binaries=tuple(sorted(binaries)),
-        mode=mode,
-        injected=tuple(injected),
-    )
+    try:
+        return StandardFormProblem(
+            columns=tuple(columns),
+            objective=tuple(objective),
+            rows=tuple(rows),
+            lower=tuple(lower),
+            upper=tuple(upper),
+            binaries=tuple(sorted(binaries)),
+            mode=mode,
+            injected=tuple(injected),
+        )
+    except ValueError as exc:  # an unknown mode
+        raise LpFormatError(str(exc)) from None

@@ -426,10 +426,15 @@ def _require(doc: dict, key: str, path: str = ""):
     return doc[key]
 
 
-def _num(value, where: str) -> float:
+def _number(value, where: str) -> float:
+    """A JSON number as a float; ``true`` and ``false`` are no numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{where}: expected a number, got {value!r}")
-    v = float(value)
+    return float(value)
+
+
+def _num(value, where: str) -> float:
+    v = _number(value, where)
     if not math.isfinite(v):
         raise ScenarioFormatError(f"{where}: number must be finite, got {v}")
     return v
@@ -439,6 +444,12 @@ def _numlist(values, where: str) -> list[float]:
     if not isinstance(values, list):
         raise ScenarioFormatError(f"{where}: expected a list of numbers")
     return [_num(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
+def _numrows(rows, where: str) -> list[list[float]]:
+    if not isinstance(rows, list):
+        raise ScenarioFormatError(f"{where}: expected a list of rows")
+    return [_numlist(row, f"{where}[{t}]") for t, row in enumerate(rows)]
 
 
 def coin_specs_from_list(denom_docs, where: str = "denominations") -> tuple[CoinSpec, ...]:
@@ -530,19 +541,13 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, MintConfig]:
     specs = coin_specs_from_list(_require(doc, "denominations"))
     config = mint_config_from_dict(_require(doc, "mint_config"))
 
-    def matrix(key: str) -> list[list[float]]:
-        rows = _require(doc, key)
-        if not isinstance(rows, list):
-            raise ScenarioFormatError(f"{key}: expected a list of rows")
-        return [_numlist(row, f"{key}[{t}]") for t, row in enumerate(rows)]
-
     disruptions = disruptions_from_list(doc.get("disruptions", []))
 
     scenario = Scenario(
         horizon=horizon,
         coin_specs=specs,
-        demand=matrix("demand"),
-        operating_floor=matrix("operating_floor"),
+        demand=_numrows(_require(doc, "demand"), "demand"),
+        operating_floor=_numrows(_require(doc, "operating_floor"), "operating_floor"),
         vault_cap=_num(_require(doc, "vault_cap"), "vault_cap"),
         safety_min=_numlist(_require(doc, "safety_min"), "safety_min"),
         initial_inventory=_numlist(_require(doc, "initial_inventory"), "initial_inventory"),

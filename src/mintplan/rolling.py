@@ -37,6 +37,9 @@ from .model import (
     MintPlanError,
     Scenario,
     ScenarioFormatError,
+    _number,
+    _numlist,
+    _numrows,
     _reject_constant,
     coin_specs_from_list,
     coin_specs_to_list,
@@ -410,18 +413,17 @@ def compare(
         total = 0.0
         for process in PROCESSES:
             breaks = scaled_breakpoints(config, report.disruptions, t, process)
-            level_costs = config.level_costs(process)
             used = u.for_process(process)
             try:
                 lvl = costs_mod.step_level(used, breaks, process, t)
             except costs_mod.CapacityExceededError:
-                lvl = len(level_costs)
+                lvl = len(breaks) - 1
                 annotations.append(
                     f"baseline quarter {t}: {process} usage {used:g} exceeds the top capacity "
                     f"{breaks[-1]:g}; charged the top level"
                 )
+            total += costs_mod.level_cost(config, process, lvl)
             if lvl > 0:
-                total += level_costs[lvl - 1]
                 baseline_extended[process] += 1
         baseline_costs[t] = total
 
@@ -616,15 +618,19 @@ def load_simulation(text: str) -> tuple[tuple[EpochInput, ...], MintConfig, tupl
     for key in ("vault_cap", "safety_min"):
         if key not in st:
             raise ScenarioFormatError(f"missing required key settings.{key!r}")
+    for key in ("use_proc1", "use_proc2"):
+        if not isinstance(st.get(key, True), bool):
+            raise ScenarioFormatError(f"settings.{key}: expected true or false, got {st[key]!r}")
     try:
+        # SimulationSettings checks the ranges, finiteness included
         settings = SimulationSettings(
-            vault_cap=float(st["vault_cap"]),
-            safety_min=tuple(float(v) for v in st["safety_min"]),
-            floor_fraction=float(st.get("floor_fraction", 1.0 / 3.0)),
-            granularity=float(st.get("granularity", 1.0)),
-            k_max=float(st.get("k_max", DEFAULT_K_MAX)),
-            use_proc1=bool(st.get("use_proc1", True)),
-            use_proc2=bool(st.get("use_proc2", True)),
+            vault_cap=_number(st["vault_cap"], "settings.vault_cap"),
+            safety_min=tuple(_numlist(st["safety_min"], "settings.safety_min")),
+            floor_fraction=_number(st.get("floor_fraction", 1.0 / 3.0), "settings.floor_fraction"),
+            granularity=_number(st.get("granularity", 1.0), "settings.granularity"),
+            k_max=_number(st.get("k_max", DEFAULT_K_MAX), "settings.k_max"),
+            use_proc1=st.get("use_proc1", True),
+            use_proc2=st.get("use_proc2", True),
             heuristic_order=str(st.get("heuristic_order", "proc2-first")),
             disruptions=disruptions_from_list(st.get("disruptions", []), "settings.disruptions"),
         )
@@ -638,16 +644,17 @@ def load_simulation(text: str) -> tuple[tuple[EpochInput, ...], MintConfig, tupl
     for i, ed in enumerate(epochs_doc):
         if not isinstance(ed, dict) or "realized" not in ed:
             raise ScenarioFormatError(f"epochs[{i}]: expected an object with a realized vector")
+        here = f"epochs[{i}]"
         try:
             history.append(
                 EpochInput(
-                    realized=np.array(ed["realized"], dtype=float),
-                    forecast=None if ed.get("forecast") is None else np.array(ed["forecast"], dtype=float),
-                    inventory=None if ed.get("inventory") is None else np.array(ed["inventory"], dtype=float),
+                    realized=_numlist(ed["realized"], f"{here}.realized"),
+                    forecast=None if ed.get("forecast") is None else _numrows(ed["forecast"], f"{here}.forecast"),
+                    inventory=None if ed.get("inventory") is None else _numlist(ed["inventory"], f"{here}.inventory"),
                 )
             )
         except (TypeError, ValueError) as exc:
-            raise ScenarioFormatError(f"epochs[{i}]: {exc}") from exc
+            raise ScenarioFormatError(f"{here}: {exc}") from exc
     return tuple(history), config, specs, settings
 
 

@@ -71,21 +71,6 @@ def test_procedure1_rejects_fill_that_moves_cost():
     assert event.cost_delta > 1e-6
 
 
-def test_procedure1_strict_mode_compares_objectives():
-    scenario, config = load_fixture("slack.json")
-    base_sol = solve_pipeline(scenario, config)
-    events = []
-    procedure1(scenario, build(scenario, config), base_sol, strict_objective=True, events=events)
-    assert events[0].accepted and events[0].reason == "objective unchanged"
-
-    scenario, config = load_fixture("tiny.json")
-    base_sol = solve_pipeline(scenario, config)
-    events = []
-    refined = procedure1(scenario, build(scenario, config), base_sol, strict_objective=True, events=events)
-    assert refined is base_sol
-    assert events[0].reason == "objective moved"
-
-
 def test_procedure2_postpones_paid_striking_on_tiny():
     """The paid striking shift moves out of the first quarter: same
     bill, but the spend now waits for one more forecast update."""

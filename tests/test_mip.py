@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mintplan import (
     LpFormatError,
     MintConfig,
     Scenario,
+    assignment_from_solution,
     build,
     check_solution,
     export_lp_text,
@@ -21,7 +23,14 @@ from mintplan import (
     restrict,
     scaled_breakpoints,
 )
+from mintplan.bnb import random_instance, solve_mip
 from mintplan.mip import choose_mode, level_capacity
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def tiny():
+    return load_scenario(resources.files("mintplan").joinpath("fixtures/tiny.json").read_text())
 
 CFG1 = MintConfig(
     blanking_breakpoints=(20.0, 28.0),
@@ -204,10 +213,21 @@ def test_injected_constraints_add_labeled_rows():
         InjectedConstraint("force_maximum_striking", 0)
 
 
+def test_assignment_rejects_a_level_the_ladder_lacks():
+    """A level past the top is no column to switch on; writing no level
+    instead would blame the wrong quarter's capacity row."""
+    scenario, config = tiny()
+    problem = build(scenario, config)
+    solution = solve_mip(problem)
+    assert check_solution(problem, assignment_from_solution(problem, solution)) == []
+    beyond = replace(solution, shifts=replace(solution.shifts, striking=(1, 3)))
+    with pytest.raises(ValueError, match="striking level 3 exceeds"):
+        assignment_from_solution(problem, beyond)
+
+
 def tiny_with_a_disrupted_quarter():
     """The tiny fixture with every process of quarter 1 scaled by 0.62."""
-    text = resources.files("mintplan").joinpath("fixtures/tiny.json").read_text()
-    scenario, cfg = load_scenario(text)
+    scenario, cfg = tiny()
     disruptions = tuple(
         Disruption(quarter=1, process=p, capacity_scale=0.62) for p in ("blanking", "annealing", "striking")
     )
@@ -308,8 +328,7 @@ def test_lp_text_round_trip_is_exact():
 def test_lp_text_round_trip_keeps_forbid_restrictions():
     """A forbid restriction travels as zero upper bounds in the text;
     parsing recovers it from them, after the row-borne restrictions."""
-    text = resources.files("mintplan").joinpath("fixtures/tiny.json").read_text()
-    scenario, cfg = load_scenario(text)
+    scenario, cfg = tiny()
     injected = (
         InjectedConstraint("forbid_extra_striking", 1),
         InjectedConstraint("force_base_striking", 0),
@@ -334,8 +353,7 @@ def test_lp_text_round_trip_keeps_forbid_restrictions():
 def test_lp_text_partly_zeroed_ladder_recovers_no_forbid():
     """Only a whole ladder at upper bound 0 is a forbid restriction; a
     zero upper bound on one level stays a bound and nothing more."""
-    text = resources.files("mintplan").joinpath("fixtures/tiny.json").read_text()
-    scenario, cfg = load_scenario(text)
+    scenario, cfg = tiny()
     problem = restrict(build(scenario, cfg), (InjectedConstraint("forbid_extra_striking", 1),))
     text = export_lp_text(problem)
     assert "0.0 <= a[0,2] <= 1.0" in text
@@ -373,6 +391,17 @@ def test_parse_lp_text_rejects_malformed_documents():
     with pytest.raises(LpFormatError):
         parse_lp_text(text.replace("K", "Q"))
 
+    tiny_text = export_lp_text(build(*tiny()))
+    for bad in (
+        tiny_text.replace("  a[0,1]\n", "  a[0,1]\n  a[0,1]\n"),  # a level listed twice would be billed twice
+        tiny_text.replace("  a[1,1]\n", "  a[1,1]\n  a[1,1]\n"),
+        tiny_text.replace("\nend\n", "\n  f[0,0]\nend\n"),  # an order column is no shift level
+        tiny_text.replace("  a[0,1]\n  a[0,2]\n", "  a[0,2]\n"),  # a continuous level would go unbilled
+        tiny_text.replace("mode lexicographic", "mode foo"),
+    ):
+        with pytest.raises(LpFormatError):
+            parse_lp_text(bad)
+
 
 def test_choose_mode_by_cost_gap():
     coarse = MintConfig(
@@ -396,3 +425,24 @@ def test_choose_mode_by_cost_gap():
 def test_mode_recorded_on_problem():
     problem = build(one_quarter_scenario(), CFG1)
     assert problem.mode == choose_mode(CFG1, 1, 2.0)
+
+
+def random_3q():
+    """Three quarters, three denominations (one without alloy), three
+    blanking and two striking levels, blanking scaled in quarter 1."""
+    return random_instance(np.random.default_rng(1), horizon=3, n_denoms=3, n_blanking_levels=3, n_striking_levels=2)
+
+
+@pytest.mark.parametrize(
+    "golden, make",
+    [
+        ("build_tiny.lp", tiny),
+        ("build_random_3q.lp", random_3q),
+    ],
+    ids=["tiny", "random_3q"],
+)
+def test_build_reproduces_the_recorded_model(golden, make):
+    """Every row, coefficient, bound, binary and the mode of a
+    several-quarter, several-level model, byte for byte."""
+    scenario, config = make()
+    assert export_lp_text(build(scenario, config)) == (GOLDEN / golden).read_text()

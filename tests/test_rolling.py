@@ -1,5 +1,7 @@
 """Rolling-horizon simulator: epoch mechanics, audits, and reports."""
 
+import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -248,6 +250,29 @@ def test_simulation_file_rejects_unusable_solver_settings(setting, bad):
     name = setting.split(":")[0].strip('"')
     with pytest.raises(ScenarioFormatError, match=f"settings: {name} must be finite"):
         load_simulation(text.replace(setting, bad))
+
+
+@pytest.mark.parametrize(
+    "path, bad, where",
+    [
+        (("settings", "use_proc1"), "false", "settings.use_proc1"),
+        (("settings", "vault_cap"), "900", "settings.vault_cap"),
+        (("epochs", 1, "realized", 0), "12.5", "epochs[1].realized[0]"),
+        (("settings", "safety_min", 0), True, "settings.safety_min[0]"),
+    ],
+    ids=["flag_as_string", "number_as_string", "demand_as_string", "bool_as_number"],
+)
+def test_simulation_file_rejects_wrong_json_types(path, bad, where):
+    """A simulation file takes JSON numbers and booleans only, as a
+    scenario file does: ``"false"`` would switch procedure 1 on."""
+    history = [EpochInput(realized=np.array([1.0]), inventory=np.array([1.0])), EpochInput(realized=np.array([2.0]))]
+    doc = json.loads(dump_simulation(history, CFG, SPEC, SETTINGS))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises(ScenarioFormatError, match=re.escape(where)):
+        load_simulation(json.dumps(doc))
 
 
 def test_report_csv_layout():
