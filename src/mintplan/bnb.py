@@ -44,6 +44,7 @@ from .model import (
     Scenario,
     ShiftSelection,
     Solution,
+    coin_loads,
 )
 
 #: Binary values within this of an integer count as integral.
@@ -223,8 +224,8 @@ class _Repair:
     def __init__(self, problem: StandardFormProblem, solution: Solution, scenario: Scenario, granularity: float):
         self.s = scenario
         self.g = granularity
-        self.rates = np.array([sp.blanking_rate for sp in scenario.coin_specs])
-        self.weights = np.array([sp.alloy_weight for sp in scenario.coin_specs])
+        self.loads = coin_loads(scenario.coin_specs)
+        self.rates = self.loads["blanking"]
         self.relaxed = np.array(solution.plan.orders)
         self.k = solution.k
         self.notes: list[str] = []
@@ -237,7 +238,7 @@ class _Repair:
         self.caps = [  # per quarter: process -> usage ceiling at the kept selection
             {
                 process: level_capacity(problem, process, t, solution.shifts.levels(process)[t])
-                for process in ("blanking", "annealing", "striking")
+                for process in PROCESSES
             }
             for t in range(scenario.horizon)
         ]
@@ -251,17 +252,13 @@ class _Repair:
         flows = np.cumsum(self.f - self.s.demand, axis=0)
         return np.asarray(self.s.initial_inventory) + flows
 
-    def quarter_usage(self, t: int, extra: np.ndarray | None = None) -> dict:
-        order = self.f[t] if extra is None else self.f[t] + extra
-        return {
-            "blanking": float(self.rates @ order),
-            "annealing": float(self.weights @ order),
-            "striking": float(np.sum(order)),
-        }
+    def quarter_usage(self, t: int, delta: np.ndarray) -> dict:
+        order = self.f[t] + delta
+        return {process: float(self.loads[process] @ order) for process in PROCESSES}
 
     def capacity_blocks(self, t: int, delta: np.ndarray) -> list[str]:
         use = self.quarter_usage(t, delta)
-        return [p for p in ("blanking", "annealing", "striking") if use[p] > self.caps[t][p] + BOUNDARY_TOL]
+        return [p for p in PROCESSES if use[p] > self.caps[t][p] + BOUNDARY_TOL]
 
     def vault_ok(self, t: int, added: float) -> bool:
         inv = self.inventory()
@@ -525,18 +522,12 @@ class _Repair:
                         self.f[t_add, d] += self.g
                         placed = True
                         break
-                    for process in ("striking", "blanking", "annealing"):
-                        if process in self.capacity_blocks(t_add, delta):
-                            capacity_blocked.append((t_add, process))
+                    capacity_blocked.extend((t_add, process) for process in self.capacity_blocks(t_add, delta))
                 if placed:
                     break
             if placed:
                 continue
-            seen = []
-            for pair in capacity_blocked:
-                if pair not in seen:
-                    seen.append(pair)
-            return seen
+            return list(dict.fromkeys(capacity_blocked))
 
 
 def integerize(

@@ -2,7 +2,8 @@
 
 A production order consumes three resources: blanking-line time in
 working days, annealing throughput in tons, and striking-press count in
-millions of coins. Each process charges nothing up to its base
+millions of coins. What one coin loads onto each comes from
+``model.coin_loads``. Each process charges nothing up to its base
 breakpoint and a flat fee per additional shift level, with intervals
 closed on the right.
 """
@@ -23,6 +24,7 @@ from .model import (
     MintingPlan,
     MintPlanError,
     ShiftSelection,
+    coin_loads,
     scaled_breakpoints,
 )
 
@@ -43,7 +45,8 @@ class CapacityExceededError(MintPlanError):
 
 @dataclass(frozen=True)
 class ResourceUsage:
-    """Resource consumption of one quarter's order."""
+    """Resource consumption of one quarter's order, one field per
+    process in ``PROCESSES`` order."""
 
     blanking_days: float
     annealing_tons: float
@@ -60,22 +63,14 @@ class ResourceUsage:
 
 
 def usage(order: Sequence[float], specs: Sequence[CoinSpec]) -> ResourceUsage:
-    """Resource usage of a single quarter's order vector.
-
-    All three measures are linear in the order: days are
-    sum(blanking_rate * order), tons sum(alloy_weight * order), and the
-    striking count is the plain coin total.
-    """
+    """Resource usage of a single quarter's order vector: each process's
+    ``coin_loads`` entry dotted with the order, so blanking days, alloy
+    tons, and the plain coin total."""
     arr = np.asarray(order, dtype=float)
     if arr.shape != (len(specs),):
         raise ValueError(f"order must have one entry per denomination, got shape {arr.shape}")
-    rates = np.array([s.blanking_rate for s in specs])
-    weights = np.array([s.alloy_weight for s in specs])
-    return ResourceUsage(
-        blanking_days=float(rates @ arr),
-        annealing_tons=float(weights @ arr),
-        striking_count=float(np.sum(arr)),
-    )
+    loads = coin_loads(specs)
+    return ResourceUsage(*(float(loads[process] @ arr) for process in PROCESSES))
 
 
 def step_level(value: float, breaks: Sequence[float], process: str, quarter: int | None) -> int:
@@ -117,12 +112,10 @@ def usage_cost(
     quarter: int = 0,
 ) -> float:
     """Total extra-shift cost of one quarter's usage, with the quarter's
-    disruptions applied to the breakpoints."""
-    total = 0.0
-    for process in PROCESSES:
-        breaks = scaled_breakpoints(config, disruptions, quarter, process)
-        total += level_cost(config, process, step_level(u.for_process(process), breaks, process, quarter))
-    return total
+    disruptions applied to the breakpoints: the price of its
+    ``usage_levels``."""
+    levels = usage_levels(u, config, disruptions, quarter)
+    return sum(level_cost(config, process, level) for process, level in zip(PROCESSES, levels))
 
 
 def usage_levels(

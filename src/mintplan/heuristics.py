@@ -35,7 +35,7 @@ from . import mip as mip_mod
 from .bnb import DEFAULT_NODE_CAP, RepairInfeasibleError
 from .lpsolve import FEAS_TOL
 from .mip import DEFAULT_K_MAX, InjectedConstraint, StandardFormProblem
-from .model import BOUNDARY_TOL, MintConfig, Scenario, Solution
+from .model import BOUNDARY_TOL, MintConfig, Scenario, Solution, coin_loads
 
 #: Cost drift allowed when calling a restricted solution "no worse".
 ACCEPT_TOL = 1e-6
@@ -55,7 +55,7 @@ class HeuristicEvent:
 
 
 def _blanking_tolerance(scenario: Scenario, granularity: float) -> float:
-    max_rate = max(spec.blanking_rate for spec in scenario.coin_specs)
+    max_rate = float(coin_loads(scenario.coin_specs)["blanking"].max())
     return max(ACCEPT_TOL, granularity * max_rate + BOUNDARY_TOL)
 
 
@@ -112,11 +112,12 @@ def _pinned_count_rules_out_blanking(scenario: Scenario, model: StandardFormProb
     times the LP's phase-1 tolerance, scaled like its box screen, so the
     certificate only claims what the solver would find; a slimmer miss
     is left to the solver."""
-    rates = [spec.blanking_rate for spec in scenario.coin_specs]
+    rates = coin_loads(scenario.coin_specs)["blanking"]
+    lo, hi = float(rates.min()), float(rates.max())
     z = mip_mod.level_capacity(model, "striking", 0, 0)
     x = mip_mod.level_capacity(model, "blanking", 0, 0)
-    margin = 10.0 * FEAS_TOL * max(1.0, abs(x), abs(z), max(rates))
-    return x > max(rates) * z + margin or x < min(rates) * z - margin
+    margin = 10.0 * FEAS_TOL * max(1.0, abs(x), abs(z), hi)
+    return x > hi * z + margin or x < lo * z - margin
 
 
 def procedure1(

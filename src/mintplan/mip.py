@@ -17,11 +17,12 @@ count off the columns.
 
 The objective charges every selected extra level and rewards ``K``.
 ``build`` writes the three processes in one loop: a process's capacity
-row charges each order its per-coin load (blanking days, alloy tons, or
-one coin) and lets at most one extra level, picked by the level-choice
-row, raise the free base capacity by that level's own step (its
-breakpoint minus the one below). Inventory rows tie stocks to orders
-and demand; floor, vault, and terminal rows bound the stocks.
+row charges each order its per-coin load from ``model.coin_loads``
+(blanking days, alloy tons, or one coin) and lets at most one extra
+level, picked by the level-choice row, raise the free base capacity by
+that level's own step (its breakpoint minus the one below). Inventory
+rows tie stocks to orders and demand; floor, vault, and terminal rows
+bound the stocks.
 ``restrict`` adds first-quarter restrictions to a built model, reading
 them off its rows: forcing the base capacity to be fully used appends
 that capacity row's order terms as an equality, and forbidding a
@@ -46,6 +47,7 @@ from .model import (
     MintPlanError,
     Scenario,
     Solution,
+    coin_loads,
     scaled_breakpoints,
     validate_scenario,
 )
@@ -310,12 +312,7 @@ def build(
 
     s, cfg = scenario, config
     T, D = s.horizon, s.n_denoms
-    # what one million coins of each denomination load onto each process
-    load = {
-        "blanking": [spec.blanking_rate for spec in s.coin_specs],
-        "annealing": [spec.alloy_weight for spec in s.coin_specs],
-        "striking": [1.0] * D,
-    }
+    load = coin_loads(s.coin_specs)
     eff = {process: [scaled_breakpoints(cfg, s.disruptions, t, process) for t in range(T)] for process in PROCESSES}
 
     def f(t: int, d: int) -> int:
@@ -567,6 +564,18 @@ def export_lp_text(problem: StandardFormProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lp_number(token: str, what: str) -> float:
+    """A finite number of an LP document; ``build`` never writes ``nan``
+    or ``inf``, and the solver cannot take them."""
+    try:
+        value = float(token)
+    except ValueError:
+        raise LpFormatError(f"malformed {what}") from None
+    if not math.isfinite(value):
+        raise LpFormatError(f"non-finite {what}")
+    return value
+
+
 def _parse_terms(text: str, column_of: dict) -> tuple[tuple[int, float], ...]:
     text = text.strip()
     if text == "0":
@@ -576,10 +585,7 @@ def _parse_terms(text: str, column_of: dict) -> tuple[tuple[int, float], ...]:
         tokens = part.split()
         if len(tokens) != 2:
             raise LpFormatError(f"malformed term {part!r}")
-        try:
-            coeff = float(tokens[0])
-        except ValueError:
-            raise LpFormatError(f"malformed coefficient in term {part!r}") from None
+        coeff = _lp_number(tokens[0], f"coefficient in term {part!r}")
         if tokens[1] not in column_of:
             raise LpFormatError(f"term references unknown column {tokens[1]!r}")
         pairs.append((column_of[tokens[1]], coeff))
@@ -640,11 +646,8 @@ def parse_lp_text(text: str) -> StandardFormProblem:
         col = len(columns)
         columns.append(_variable_from_name(name, col))
         column_of[name] = col
-        try:
-            lower.append(float(m.group(1)))
-            upper.append(float(m.group(3)))
-        except ValueError:
-            raise LpFormatError(f"malformed bound value in {ln!r}") from None
+        lower.append(_lp_number(m.group(1), f"bound value in {ln!r}"))
+        upper.append(_lp_number(m.group(3), f"bound value in {ln!r}"))
 
     if len(sections["minimize"]) != 1:
         raise LpFormatError("minimize section must hold exactly one line")
@@ -660,10 +663,7 @@ def parse_lp_text(text: str) -> StandardFormProblem:
         if m is None:
             raise LpFormatError(f"malformed constraint line {ln!r}")
         label, body, relation, rhs_text = m.groups()
-        try:
-            rhs = float(rhs_text)
-        except ValueError:
-            raise LpFormatError(f"malformed right-hand side in {ln!r}") from None
+        rhs = _lp_number(rhs_text, f"right-hand side in {ln!r}")
         rows.append(Row(label=label, coeffs=_parse_terms(body, column_of), relation=relation, rhs=rhs))
         family = label.split("[", 1)[0]
         if family in INJECTED_FAMILIES:

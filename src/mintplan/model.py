@@ -62,6 +62,18 @@ class CoinSpec:
             raise ValueError(f"blanking_rate must be finite and > 0, got {self.blanking_rate}")
 
 
+def coin_loads(specs: Sequence[CoinSpec]) -> dict[str, np.ndarray]:
+    """What one million coins of each denomination load onto each
+    process, keyed in ``PROCESSES`` order: blanking days (the blanking
+    rate), annealing tons (the alloy weight) and one struck coin. A
+    quarter's usage of a process is that entry dotted with its order."""
+    return {
+        "blanking": np.array([spec.blanking_rate for spec in specs], dtype=float),
+        "annealing": np.array([spec.alloy_weight for spec in specs], dtype=float),
+        "striking": np.ones(len(specs)),
+    }
+
+
 def _check_ladder(name: str, breakpoints: tuple, costs: tuple) -> None:
     if len(breakpoints) < 2:
         raise ValueError(f"{name} needs a base breakpoint plus at least one extra level")
@@ -106,14 +118,6 @@ class MintConfig:
         _check_ladder("blanking", self.blanking_breakpoints, self.blanking_costs)
         _check_ladder("striking", self.striking_breakpoints, self.striking_costs)
         _check_ladder("annealing", (self.annealing_base, self.annealing_max), (self.annealing_cost,))
-
-    @property
-    def n_blanking_levels(self) -> int:
-        return len(self.blanking_costs)
-
-    @property
-    def n_striking_levels(self) -> int:
-        return len(self.striking_costs)
 
     def breakpoints(self, process: str) -> tuple[float, ...]:
         """Unscaled capacity breakpoints for ``process``, base first."""

@@ -119,6 +119,8 @@ class SimulationSettings:
             raise ValueError(f"k_max must be finite and >= 0, got {self.k_max}")
         if self.heuristic_order not in ("proc2-first", "proc1-first"):
             raise ValueError(f"unknown heuristic order {self.heuristic_order!r}")
+        if isinstance(self.node_cap, bool) or not isinstance(self.node_cap, int) or self.node_cap < 0:
+            raise ValueError(f"node_cap must be an integer >= 0, got {self.node_cap!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -583,6 +585,7 @@ def dump_simulation(
             "use_proc1": settings.use_proc1,
             "use_proc2": settings.use_proc2,
             "heuristic_order": settings.heuristic_order,
+            "node_cap": settings.node_cap,
             "disruptions": disruptions_to_list(settings.disruptions),
         },
         "epochs": [
@@ -632,6 +635,7 @@ def load_simulation(text: str) -> tuple[tuple[EpochInput, ...], MintConfig, tupl
             use_proc1=st.get("use_proc1", True),
             use_proc2=st.get("use_proc2", True),
             heuristic_order=str(st.get("heuristic_order", "proc2-first")),
+            node_cap=st.get("node_cap", DEFAULT_NODE_CAP),
             disruptions=disruptions_from_list(st.get("disruptions", []), "settings.disruptions"),
         )
     except (TypeError, ValueError) as exc:

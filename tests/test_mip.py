@@ -126,8 +126,8 @@ def test_row_count_scales_with_size():
         )
         problem = build(scenario, CFG1)
         assert len(problem.rows) == 6 * T + 2 * T * D + D
-        nc = CFG1.n_blanking_levels
-        na = CFG1.n_striking_levels
+        nc = len(CFG1.level_costs("blanking"))
+        na = len(CFG1.level_costs("striking"))
         assert len(problem.columns) == 2 * T * D + T * (nc + na + 1) + 1
 
 
@@ -398,6 +398,13 @@ def test_parse_lp_text_rejects_malformed_documents():
         tiny_text.replace("\nend\n", "\n  f[0,0]\nend\n"),  # an order column is no shift level
         tiny_text.replace("  a[0,1]\n  a[0,2]\n", "  a[0,2]\n"),  # a continuous level would go unbilled
         tiny_text.replace("mode lexicographic", "mode foo"),
+        # build never writes a non-finite number, and the solver cannot take one
+        tiny_text.replace("<= 300.0", "<= nan", 1),  # capacity right-hand sides
+        tiny_text.replace("<= 300.0", "<= inf", 1),
+        tiny_text.replace("2.5 f[0,0]", "nan f[0,0]", 1),  # an order's load
+        tiny_text.replace("4.0 c[0,1]", "nan c[0,1]", 1),  # a level's cost
+        tiny_text.replace("-1.0 K", "-inf K", 1),  # the K reward
+        tiny_text.replace("<= K <= 2.0", "<= K <= inf", 1),  # the K ceiling
     ):
         with pytest.raises(LpFormatError):
             parse_lp_text(bad)

@@ -208,6 +208,7 @@ def test_simulation_file_round_trip():
         use_proc1=False,
         heuristic_order="proc1-first",
         granularity=0.5,
+        node_cap=5,
     )
     text = dump_simulation(history, CFG, SPEC, settings)
     loaded_history, loaded_config, loaded_specs, loaded_settings = load_simulation(text)
@@ -259,8 +260,19 @@ def test_simulation_file_rejects_unusable_solver_settings(setting, bad):
         (("settings", "vault_cap"), "900", "settings.vault_cap"),
         (("epochs", 1, "realized", 0), "12.5", "epochs[1].realized[0]"),
         (("settings", "safety_min", 0), True, "settings.safety_min[0]"),
+        (("settings", "node_cap"), 2.5, "settings: node_cap"),
+        (("settings", "node_cap"), True, "settings: node_cap"),
+        (("settings", "node_cap"), -1, "settings: node_cap"),
     ],
-    ids=["flag_as_string", "number_as_string", "demand_as_string", "bool_as_number"],
+    ids=[
+        "flag_as_string",
+        "number_as_string",
+        "demand_as_string",
+        "bool_as_number",
+        "node_cap_as_float",
+        "node_cap_as_bool",
+        "negative_node_cap",
+    ],
 )
 def test_simulation_file_rejects_wrong_json_types(path, bad, where):
     """A simulation file takes JSON numbers and booleans only, as a

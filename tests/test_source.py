@@ -26,3 +26,21 @@ def test_modules_use_every_name_they_import():
     assert MODULES
     found = {p.name: unused_imports(p.read_text()) for p in MODULES}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def coin_load_reads(source: str) -> list[str]:
+    """Places a module reads a coin's blanking rate or alloy weight off
+    a spec; keyword arguments that set them are no reads."""
+    reads = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("blanking_rate", "alloy_weight")
+    ]
+    return [f"line {node.lineno}: .{node.attr}" for node in sorted(reads, key=lambda node: node.lineno)]
+
+
+def test_only_the_model_reads_per_coin_loads():
+    """``model.coin_loads`` is the one table of what a coin loads onto
+    each process; every other module reads it instead of the specs."""
+    found = {p.name: coin_load_reads(p.read_text()) for p in MODULES if p.name != "model.py"}
+    assert {name: reads for name, reads in found.items() if reads} == {}
