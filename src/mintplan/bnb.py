@@ -8,12 +8,13 @@ annealing), then earliest quarter, then lowest level. Because the
 heap always pops the smallest bound, the first integral node popped is
 optimal and the search can stop there.
 
-``lexicographic`` problems are solved in two passes: minimize the
-extra-shift cost with the safety reward switched off, then pin the cost
-at its optimum with one extra equality row and maximize K. When no
-binary has a negative cost, the K pass at a bill of 0 runs first: most
-replans need no paid shift, and for them that one search is the whole
-solve. Only when it is infeasible do the two passes run.
+The extra-shift bill comes before K. One search on ``bill - K`` is
+exact when every gap between two bills exceeds K's ceiling; otherwise
+two passes: minimize the bill with the safety reward switched off, then
+pin it at its optimum with one extra equality row and maximize K. When
+no binary has a negative cost, the K pass at a bill of 0 runs first:
+most replans need no paid shift, and for them that one search is the
+whole solve. Only when it is infeasible do the two passes run.
 
 The root node solves the model under its own bounds, so a binary fixed
 before the search is fixed in the model: the integerizer escalates a
@@ -27,6 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import replace
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -154,9 +156,37 @@ def _extract_solution(problem: StandardFormProblem, x: np.ndarray) -> Solution:
     )
 
 
+@lru_cache(maxsize=64)
+def _bill_gap(quarters: tuple, cap: int = 200_000) -> float | None:
+    """Smallest positive gap between two reachable bills, or None past
+    ``cap`` values. ``quarters`` holds each quarter's level costs per
+    process; a rolling simulation reuses one table, hence the cache."""
+    totals = {0.0}
+    for blanking, annealing, striking in quarters:
+        per_quarter = {b + a + s for b in (0.0, *blanking) for a in (0.0, *annealing) for s in (0.0, *striking)}
+        totals = {round(base + extra, 9) for base in totals for extra in per_quarter}
+        if len(totals) > cap:
+            return None
+    values = sorted(totals)
+    gaps = [hi - lo for lo, hi in zip(values, values[1:]) if hi - lo > 1e-12]
+    return min(gaps) if gaps else math.inf
+
+
+def _one_pass(problem: StandardFormProblem) -> bool:
+    """Whether one search on ``bill - K`` is exact: every gap between two
+    bills, summed from the binaries' objective entries, exceeds K's
+    ceiling. An enumeration overflow means two passes."""
+    costs = [{process: [] for process in PROCESSES} for _ in range(problem.horizon)]
+    for col in problem.binaries:
+        var = problem.columns[col]
+        costs[var.quarter][_PROCESS_BY_KIND[var.kind]].append(problem.objective[col])
+    gap = _bill_gap(tuple(tuple(tuple(quarter[p]) for p in PROCESSES) for quarter in costs))
+    return gap is not None and gap > problem.k_max
+
+
 def _cost_locked(problem: StandardFormProblem, bill: float) -> StandardFormProblem:
-    """The K pass of a lexicographic solve: maximize K with the
-    extra-shift bill pinned at ``bill`` by one equality row."""
+    """The K pass of a two-pass solve: maximize K with the extra-shift
+    bill pinned at ``bill`` by one equality row."""
     k_objective = [0.0] * len(problem.columns)
     k_objective[problem.column_index("K")] = -1.0
     lock = Row(
@@ -182,21 +212,22 @@ def solve_mip(
     on a level whose upper bound a ``forbid_extra_*`` restriction zeroed
     is a crossed column, which makes the solve infeasible.
 
-    A lexicographic solve whose binaries all cost 0 or more first tries
-    the K pass at a bill of 0: a plan found there is the optimum, since
-    no plan costs less, so the cost pass is skipped. Only when that tree
-    is infeasible do the cost pass and the K pass at its bill run. All
-    searches draw on one budget of ``node_cap`` LPs.
+    The optimum has the least bill, then the largest K: one search on
+    ``bill - K`` when ``_one_pass`` says it is exact, else two passes.
+    Two passes whose binaries all cost 0 or more first try the K pass at
+    a bill of 0: a plan found there is the optimum, since no plan costs
+    less, so the cost pass is skipped. Only when that tree is infeasible
+    do the cost pass and the K pass at its bill run. All searches draw
+    on one budget of ``node_cap`` LPs.
     """
     budget = [node_cap]
-    if problem.mode == "combined":
+    if _one_pass(problem):
         x = _branch_and_bound(problem, node_budget=budget)
         if x is None:
             return Solution(status="infeasible", objective=math.nan, cost=math.nan, k=math.nan)
         return _extract_solution(problem, x)
 
-    # lexicographic: a zero bill when one exists, else cost first, then K
-    # with the cost pinned
+    # a zero bill when one exists, else cost first, then K with it pinned
     if all(problem.objective[col] >= 0.0 for col in problem.binaries):
         x = _branch_and_bound(_cost_locked(problem, 0.0), node_budget=budget)
         if x is not None:
@@ -265,12 +296,13 @@ class _Repair:
         totals = inv[t:].sum(axis=1) + added
         return bool(np.all(totals <= self.s.vault_cap + 1e-9))
 
-    def delta_ok(self, t: int, delta: np.ndarray) -> bool:
-        if np.any(self.f[t] + delta < -1e-12):
-            return False
-        if self.capacity_blocks(t, delta):
-            return False
-        return self.vault_ok(t, float(np.sum(delta)))
+    def misfit(self, t: int, delta: np.ndarray) -> list[str] | None:
+        """None when ``delta`` fits quarter ``t`` (capacity, no negative
+        order, vault); else the processes whose capacity it crosses."""
+        blocks = self.capacity_blocks(t, delta)
+        if blocks or np.any(self.f[t] + delta < -1e-12) or not self.vault_ok(t, float(np.sum(delta))):
+            return blocks
+        return None
 
     def deficits(self) -> list[tuple[float, int, int]]:
         inv = self.inventory()
@@ -323,7 +355,7 @@ class _Repair:
             for d in self._denoms_by_remainder(q):
                 delta = np.zeros(self.f.shape[1])
                 delta[d] = self.g
-                if self.delta_ok(q, delta):
+                if self.misfit(q, delta) is None:
                     self.f[q, d] += self.g
                     gap -= self.g
                     placed = True
@@ -337,7 +369,7 @@ class _Repair:
             for d in self._denoms_by_remainder(q):
                 delta = np.zeros(self.f.shape[1])
                 delta[d] = gap
-                if self.delta_ok(q, delta):
+                if self.misfit(q, delta) is None:
                     self.f[q, d] += gap
                     self.notes.append(
                         f"fractional top-up of {gap:g} on denomination {d} in quarter {q} "
@@ -360,7 +392,7 @@ class _Repair:
                     continue
                 delta = np.zeros(D)
                 delta[d] = gap / self.rates[d]
-                if self.delta_ok(q, delta):
+                if self.misfit(q, delta) is None:
                     self.f[q] += delta
                     self.notes.append(
                         f"fractional top-up of {delta[d]:g} on denomination {d} in quarter {q} "
@@ -378,7 +410,7 @@ class _Repair:
             delta = np.zeros(D)
             delta[i] = shift
             delta[j] = -shift
-            if self.delta_ok(q, delta):
+            if self.misfit(q, delta) is None:
                 self.f[q] += delta
                 self.notes.append(
                     f"moved {abs(shift):g} coins between denominations {j} and {i} in quarter {q} "
@@ -415,15 +447,15 @@ class _Repair:
         def attempt(delta: np.ndarray, moved: float) -> bool:
             if moved < 1e-9:
                 return False
-            if self.delta_ok(t_add, delta):
+            crossed = self.misfit(t_add, delta)
+            if crossed is None:
                 self.f[t_add] += delta
                 self.notes.append(
                     f"traded {moved:g} coins toward denomination {d} in quarter "
                     f"{t_add} to repair a stock floor under a pinned total"
                 )
                 return True
-            for process in self.capacity_blocks(t_add, delta):
-                blocks.append((t_add, process))
+            blocks.extend((t_add, process) for process in crossed)
             return False
 
         donors = sorted(
@@ -518,11 +550,12 @@ class _Repair:
                         continue
                     delta = np.zeros(D)
                     delta[d] = self.g
-                    if self.delta_ok(t_add, delta):
+                    crossed = self.misfit(t_add, delta)
+                    if crossed is None:
                         self.f[t_add, d] += self.g
                         placed = True
                         break
-                    capacity_blocked.extend((t_add, process) for process in self.capacity_blocks(t_add, delta))
+                    capacity_blocked.extend((t_add, process) for process in crossed)
                 if placed:
                     break
             if placed:
@@ -613,7 +646,8 @@ def integerize(
 def exhaustive_objective(problem: StandardFormProblem) -> tuple[str, float]:
     """Independent optimum by brute force: fix every admissible 0/1
     assignment of the shift binaries, solve the remaining LP, and keep
-    the best feasible candidate under the problem's mode.
+    the feasible candidate with the least bill (to 9 decimals), then the
+    largest K, whatever shortcut ``solve_mip`` takes.
 
     Assignments switching two levels of the same ladder on in one
     quarter are skipped: the model's own choice rows make their LPs
@@ -656,10 +690,7 @@ def exhaustive_objective(problem: StandardFormProblem) -> tuple[str, float]:
             continue
         cost = float(sum(problem.objective[col] for col in levels))
         k = cost - res.objective  # the LP part of the objective is -K
-        if problem.mode == "combined":
-            key = (res.objective,)
-        else:
-            key = (round(cost, 9), -k)
+        key = (round(cost, 9), -k)
         if best_key is None or key < best_key:
             best_key = key
             best_objective = cost - k

@@ -15,7 +15,8 @@ Each block runs quarter by quarter, so quarter t of a process owns
 has the one level ``h``); ``StandardFormProblem.n_levels`` reads that
 count off the columns.
 
-The objective charges every selected extra level and rewards ``K``.
+The objective charges every selected extra level and rewards ``K``;
+``bnb.solve_mip`` orders the bill before K, so the model stores no mode.
 ``build`` writes the three processes in one loop: a process's capacity
 row charges each order its per-coin load from ``model.coin_loads``
 (blanking days, alloy tons, or one coin) and lets at most one extra
@@ -28,6 +29,8 @@ them off its rows: forcing the base capacity to be fully used appends
 that capacity row's order terms as an equality, and forbidding a
 process's extra levels zeroes that quarter's level-binary upper bounds.
 ``level_capacity`` reads what a capacity row allows at a level.
+``parse_lp_text`` reads the ``mintplan-lp v2`` text ``export_lp_text``
+writes, and v1 text, whose ``mode`` line it ignores.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ INJECTED_FAMILIES = (
 _BINARY_KIND_BY_PROCESS = {"blanking": "c", "annealing": "h", "striking": "a"}
 _PROCESS_BY_KIND = {kind: process for process, kind in _BINARY_KIND_BY_PROCESS.items()}
 
-LP_HEADER = "mintplan-lp v1"
+LP_HEADER = "mintplan-lp v2"
+_LP_HEADER_V1 = "mintplan-lp v1"  # v2 plus a mode line second
 
 #: Default ceiling for the safety-stock multiplier.
 DEFAULT_K_MAX = 2.0
@@ -183,14 +187,12 @@ class InjectedConstraint:
 class StandardFormProblem:
     """A fully built model: columns, objective, rows, and bounds.
 
-    ``mode`` records how the two objective parts are ordered when the
-    instance cannot settle it in one pass: ``combined`` minimizes
-    ``cost - K`` directly, ``lexicographic`` minimizes cost first and
-    then maximizes K with the cost pinned. ``injected`` lists the
-    restrictions ``restrict`` added: a ``force_base_*`` one is the row of
-    the same label, a ``forbid_extra_*`` one the zero upper bounds
-    of its quarter's level binaries (nothing else gives a binary a zero
-    upper bound). The problem is the whole model: solving it needs no
+    It stores no objective order: the solver reads whether one search
+    on ``bill - K`` is exact off the level costs and K's ceiling.
+    ``injected`` lists the restrictions ``restrict`` added: a
+    ``force_base_*`` one is the row of the same label, a
+    ``forbid_extra_*`` one the zero upper bounds of its quarter's level
+    binaries (nothing else gives a binary a zero upper bound). The problem is the whole model: solving it needs no
     scenario or config, so a parsed dump solves as the built model does.
     """
 
@@ -200,15 +202,12 @@ class StandardFormProblem:
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     binaries: tuple[int, ...]
-    mode: str = "combined"
     injected: tuple[InjectedConstraint, ...] = ()
 
     def __post_init__(self):
         n = len(self.columns)
         if not (len(self.objective) == len(self.lower) == len(self.upper) == n):
             raise ValueError("objective and bounds must cover every column")
-        if self.mode not in ("combined", "lexicographic"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
     @cached_property
     def _column_by_key(self) -> Mapping:
@@ -260,37 +259,6 @@ def _shared_layout(columns: tuple[VariableIndex, ...]) -> tuple[tuple[VariableIn
     (kind, quarter, index) -> column map: every model of one shape has
     the same columns, so they share one copy (see ``_canonical``)."""
     return columns, MappingProxyType({(v.kind, v.quarter, v.index): v.column for v in columns})
-
-
-@lru_cache(maxsize=64)
-def _cost_gap(config: MintConfig, horizon: int, cap: int = 200_000) -> float | None:
-    """Smallest positive gap between achievable total extra-shift costs,
-    or None when the enumeration would exceed ``cap`` values.
-
-    The gap depends on nothing but the config's step costs and the
-    horizon, and enumerating it is about half the cost of ``build``; a
-    rolling simulation rebuilds its model every epoch over a handful of
-    (config, horizon) pairs, so the result is cached per pair."""
-    blanking, annealing, striking = ({0.0, *config.level_costs(process)} for process in PROCESSES)
-    per_quarter = sorted({b + a + s for b in blanking for a in annealing for s in striking})
-    totals = {0.0}
-    for _ in range(horizon):
-        totals = {round(base + extra, 9) for base in totals for extra in per_quarter}
-        if len(totals) > cap:
-            return None
-    values = sorted(totals)
-    gaps = [hi - lo for lo, hi in zip(values, values[1:]) if hi - lo > 1e-12]
-    return min(gaps) if gaps else math.inf
-
-
-def choose_mode(config: MintConfig, horizon: int, k_max: float) -> str:
-    """Pick ``combined`` only when no K value can flip a cost decision:
-    the smallest achievable cost gap must exceed ``k_max``. An
-    enumeration overflow falls back to the safe two-pass mode."""
-    gap = _cost_gap(config, horizon)
-    if gap is not None and gap > k_max:
-        return "combined"
-    return "lexicographic"
 
 
 def build(
@@ -425,7 +393,6 @@ def build(
         lower=(0.0,) * len(columns),
         upper=tuple(upper),
         binaries=binaries,
-        mode=choose_mode(cfg, T, k_max),
     )
 
 
@@ -541,14 +508,13 @@ def export_lp_text(problem: StandardFormProblem) -> str:
     """Serialize the model to the versioned text form.
 
     The dump carries the whole model (columns, objective, rows, bounds,
-    binaries, mode). Injected restrictions travel as what they are in
+    binaries). Injected restrictions travel as what they are in
     the model: a ``force_base_*`` one as its labeled row, a
     ``forbid_extra_*`` one as zero upper bounds. Floats use shortest
     round-tripping repr, so ``parse_lp_text`` reproduces the model
     exactly.
     """
-    lines = [LP_HEADER, f"mode {problem.mode}"]
-    lines.append("minimize")
+    lines = [LP_HEADER, "minimize"]
     obj_pairs = [(col, coeff) for col, coeff in enumerate(problem.objective) if coeff != 0.0]
     lines.append(f"  {_terms_text(problem, obj_pairs)}")
     lines.append("subject to")
@@ -597,8 +563,9 @@ def parse_lp_text(text: str) -> StandardFormProblem:
     """Inverse of ``export_lp_text``.
 
     The ``binary`` section must list every shift-level column once and
-    nothing else, and the mode must be one ``StandardFormProblem`` knows;
-    any other document raises ``LpFormatError``.
+    nothing else; any other document raises ``LpFormatError``. A v1
+    document is v2 with ``mode lexicographic`` or ``mode combined``
+    second; that line is ignored.
 
     ``injected`` is recovered from the model: first the restrictions
     whose rows appear, in row order, then one ``forbid_extra_*`` per
@@ -608,16 +575,17 @@ def parse_lp_text(text: str) -> StandardFormProblem:
     bounds on only part of a ladder are kept as bounds and recover no
     restriction."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != LP_HEADER:
+    if lines[:1] == [_LP_HEADER_V1]:
+        if lines[1:2] not in (["mode lexicographic"], ["mode combined"]):
+            raise LpFormatError(f"a {_LP_HEADER_V1!r} document needs a mode line second")
+        del lines[1]
+    elif lines[:1] != [LP_HEADER]:
         raise LpFormatError(f"missing or unsupported header; expected {LP_HEADER!r}")
-    if len(lines) < 2 or not lines[1].startswith("mode "):
-        raise LpFormatError("missing mode line")
-    mode = lines[1][len("mode "):]
 
     sections: dict[str, list[str]] = {"minimize": [], "subject to": [], "bounds": [], "binary": []}
     current: str | None = None
     seen = []
-    for ln in lines[2:]:
+    for ln in lines[1:]:
         if ln == "end":
             current = "end"
             continue
@@ -665,9 +633,11 @@ def parse_lp_text(text: str) -> StandardFormProblem:
         label, body, relation, rhs_text = m.groups()
         rhs = _lp_number(rhs_text, f"right-hand side in {ln!r}")
         rows.append(Row(label=label, coeffs=_parse_terms(body, column_of), relation=relation, rhs=rhs))
-        family = label.split("[", 1)[0]
+        family, _, quarter = label[:-1].partition("[")
         if family in INJECTED_FAMILIES:
-            injected.append(InjectedConstraint(kind=family, quarter=int(label[len(family) + 1:-1])))
+            if not quarter.isdigit():
+                raise LpFormatError(f"restriction row {label!r} must name one quarter")
+            injected.append(InjectedConstraint(kind=family, quarter=int(quarter)))
 
     binaries: set[int] = set()
     for ln in sections["binary"]:
@@ -688,16 +658,12 @@ def parse_lp_text(text: str) -> StandardFormProblem:
         if all(upper[col] == 0.0 for col in cols):
             injected.append(InjectedConstraint(kind=f"forbid_extra_{_PROCESS_BY_KIND[kind]}", quarter=quarter))
 
-    try:
-        return StandardFormProblem(
-            columns=tuple(columns),
-            objective=tuple(objective),
-            rows=tuple(rows),
-            lower=tuple(lower),
-            upper=tuple(upper),
-            binaries=tuple(sorted(binaries)),
-            mode=mode,
-            injected=tuple(injected),
-        )
-    except ValueError as exc:  # an unknown mode
-        raise LpFormatError(str(exc)) from None
+    return StandardFormProblem(
+        columns=tuple(columns),
+        objective=tuple(objective),
+        rows=tuple(rows),
+        lower=tuple(lower),
+        upper=tuple(upper),
+        binaries=tuple(sorted(binaries)),
+        injected=tuple(injected),
+    )

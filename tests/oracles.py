@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's simplex and search
 code. The LP oracle enumerates basic points geometrically; the random
 LP generator builds small dense problems straight from the dataclasses.
 These routines were written and frozen before the solvers were tuned
-against them.
+against them. ``highs_lexicographic`` hands a model to HiGHS, through
+scipy, for instances too large to enumerate.
 """
 
 from __future__ import annotations
@@ -148,3 +149,46 @@ def random_lp(rng: np.random.Generator) -> StandardFormProblem:
         upper=tuple(upper),
         binaries=(),
     )
+
+
+def highs_lexicographic(problem: StandardFormProblem) -> tuple[str, float, float]:
+    """``(status, bill, K)`` from HiGHS through ``scipy.optimize.milp``:
+    minimize the extra-shift bill, then maximize K with the bill held at
+    that optimum. It reads only the model's rows, bounds and binaries,
+    and always takes both passes."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = len(problem.columns)
+    a = np.zeros((len(problem.rows), n))
+    lo = np.full(len(problem.rows), -np.inf)
+    hi = np.full(len(problem.rows), np.inf)
+    for r, row in enumerate(problem.rows):
+        for col, coeff in row.coeffs:
+            a[r, col] = coeff
+        if row.relation != ">=":
+            hi[r] = row.rhs
+        if row.relation != "<=":
+            lo[r] = row.rhs
+    rows = LinearConstraint(a, lo, hi)
+    bounds = Bounds(np.array(problem.lower), np.array(problem.upper))
+    integrality = np.zeros(n)
+    integrality[list(problem.binaries)] = 1
+    bill = np.zeros(n)
+    for col in problem.binaries:
+        bill[col] = problem.objective[col]
+
+    def solve(objective, constraints):
+        options = {"mip_rel_gap": 0.0}
+        return milp(objective, integrality=integrality, bounds=bounds, constraints=constraints, options=options)
+
+    first = solve(bill, [rows])
+    if first.status == 2:
+        return ("infeasible", math.nan, math.nan)
+    assert first.status == 0, first.message
+    best = float(bill @ np.round(first.x))
+    slack = 1e-7 * max(1.0, abs(best))
+    k_reward = np.zeros(n)
+    k_reward[problem.column_index("K")] = -1.0
+    second = solve(k_reward, [rows, LinearConstraint(bill[None, :], best - slack, best + slack)])
+    assert second.status == 0, second.message
+    return ("optimal", best, float(second.x[problem.column_index("K")]))

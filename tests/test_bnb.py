@@ -601,7 +601,7 @@ def every_binary_override_objective(problem):
             continue
         cost = float(sum(problem.objective[col] * hi for col, (_, hi) in override.items()))
         k = cost - res.objective
-        key = (res.objective,) if problem.mode == "combined" else (round(cost, 9), -k)
+        key = (round(cost, 9), -k)
         if best_key is None or key < best_key:
             best_key, best_objective = key, cost - k
     return ("infeasible", math.nan) if best_key is None else ("optimal", best_objective)
@@ -688,7 +688,7 @@ def test_zero_bill_attempt_returns_the_two_pass_answer():
     the cost pass followed by the cost-locked K pass returns."""
     problems = pivot_path_problems()
     for name, problem in problems.items():
-        assert problem.mode == "lexicographic", name
+        assert not bnb._one_pass(problem), name
         assert same_answer(solve_mip(problem), two_pass_reference(problem)), name
     tiny = problems["tiny.json"]
     for paid in (("a", 1, 1), ("a", 0, 2), ("c", 0, 1), ("h", 1)):
@@ -732,3 +732,66 @@ def test_a_negative_binary_cost_skips_the_zero_bill_attempt(monkeypatch):
     status, objective = exhaustive_objective(problem)
     assert status == "optimal"
     assert got.objective == pytest.approx(objective, abs=1e-9)
+
+
+def rounded_costs(config: MintConfig, step: float = 4.0) -> MintConfig:
+    """The config with every shift cost rounded to a multiple of ``step``,
+    at least ``step``: bills then differ by ``step`` or more."""
+    def r(cost):
+        return max(step, step * round(cost / step))
+
+    return replace(
+        config,
+        blanking_costs=tuple(map(r, config.blanking_costs)),
+        annealing_cost=r(config.annealing_cost),
+        striking_costs=tuple(map(r, config.striking_costs)),
+    )
+
+
+def test_the_objective_order_is_read_off_the_model():
+    """Raising K's ceiling in a model's text past the bills' gap makes the
+    solve take two passes: one search on ``bill - K`` would buy a shift
+    for more K. Draw 12 of ``default_rng(2026)`` at costs in steps of 4
+    has a plan with no paid shift at K 3.87, while paying 4 reaches K
+    8.97. The enumeration ranks by bill, then K, and agrees."""
+    rng = np.random.default_rng(2026)
+    for _ in range(13):
+        scenario, config = random_instance(rng)
+    problem = build(scenario, rounded_costs(config))
+    assert bnb._one_pass(problem)
+    text = export_lp_text(problem)
+    assert text.count("<= K <= 2.0\n") == 1
+    raised = parse_lp_text(text.replace("<= K <= 2.0\n", "<= K <= 20.0\n"))
+    assert not bnb._one_pass(raised)
+    got = solve_mip(raised)
+    assert (got.status, got.cost, got.k) == ("optimal", 0.0, 3.868552817221955)
+    assert exhaustive_objective(raised) == ("optimal", got.objective)
+
+
+def test_tree_search_agrees_with_highs():
+    """HiGHS, reading nothing but the model's rows, bounds and binaries,
+    gives ``solve_mip``'s status, bill and K: on 5-quarter,
+    7-denomination draws, far past what the enumeration can reach, and
+    on 3-quarter draws at costs in steps of 4, which take one search on
+    ``bill - K``."""
+    pytest.importorskip("scipy")
+    from oracles import highs_lexicographic
+
+    rng = np.random.default_rng(2026)
+    cases = [(build(*random_instance(rng, horizon=5, n_denoms=7)), 400) for _ in range(20)]
+    rng = np.random.default_rng(2026)
+    for _ in range(20):
+        scenario, config = random_instance(rng, horizon=3, n_denoms=3)
+        problem = build(scenario, rounded_costs(config))
+        assert bnb._one_pass(problem)
+        cases.append((problem, bnb.DEFAULT_NODE_CAP))
+    statuses = set()
+    for i, (problem, node_cap) in enumerate(cases):
+        got = solve_mip(problem, node_cap=node_cap)
+        status, bill, k = highs_lexicographic(problem)
+        assert got.status == status, i
+        if status == "optimal":
+            assert got.cost == pytest.approx(bill, rel=1e-6, abs=1e-6), i
+            assert got.k == pytest.approx(k, rel=1e-6, abs=1e-6), i
+        statuses.add(status)
+    assert statuses == {"optimal", "infeasible"}

@@ -23,8 +23,8 @@ from mintplan import (
     restrict,
     scaled_breakpoints,
 )
-from mintplan.bnb import random_instance, solve_mip
-from mintplan.mip import choose_mode, level_capacity
+from mintplan.bnb import _one_pass, random_instance, solve_mip
+from mintplan.mip import level_capacity
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -320,7 +320,6 @@ def test_lp_text_round_trip_is_exact():
     assert parsed.lower == problem.lower
     assert parsed.upper == problem.upper
     assert parsed.binaries == problem.binaries
-    assert parsed.mode == problem.mode
     assert parsed.injected == problem.injected
     assert export_lp_text(parsed) == text
 
@@ -385,7 +384,7 @@ def test_parse_lp_text_rejects_malformed_documents():
     with pytest.raises(LpFormatError):
         parse_lp_text("not an lp file\n")
     with pytest.raises(LpFormatError):
-        parse_lp_text(text.replace("mintplan-lp v1", "mintplan-lp v2"))
+        parse_lp_text(text.replace("mintplan-lp v2", "mintplan-lp v3"))
     with pytest.raises(LpFormatError):
         parse_lp_text(text.replace("subject to\n", ""))
     with pytest.raises(LpFormatError):
@@ -397,7 +396,10 @@ def test_parse_lp_text_rejects_malformed_documents():
         tiny_text.replace("  a[1,1]\n", "  a[1,1]\n  a[1,1]\n"),
         tiny_text.replace("\nend\n", "\n  f[0,0]\nend\n"),  # an order column is no shift level
         tiny_text.replace("  a[0,1]\n  a[0,2]\n", "  a[0,2]\n"),  # a continuous level would go unbilled
-        tiny_text.replace("mode lexicographic", "mode foo"),
+        tiny_text.replace("mintplan-lp v2\n", "mintplan-lp v1\nmode foo\n"),  # v1 knew two modes
+        tiny_text.replace("mintplan-lp v2\n", "mintplan-lp v1\n"),  # v1 put a mode line second
+        # a restriction row names one quarter
+        tiny_text.replace("\nbounds\n", "\n  force_base_striking[0,1]: 1.0 f[0,0] = 3.0\nbounds\n"),
         # build never writes a non-finite number, and the solver cannot take one
         tiny_text.replace("<= 300.0", "<= nan", 1),  # capacity right-hand sides
         tiny_text.replace("<= 300.0", "<= inf", 1),
@@ -410,7 +412,23 @@ def test_parse_lp_text_rejects_malformed_documents():
             parse_lp_text(bad)
 
 
+def test_v1_text_reads_as_v2():
+    """A v1 document is v2 with a mode line second. The solver works the
+    objective order out from the model, so either mode parses to the
+    problem the v2 text gives."""
+    text = export_lp_text(restrict(build(*tiny()), (InjectedConstraint("force_base_striking", 0),)))
+    want = parse_lp_text(text)
+    for mode in ("lexicographic", "combined"):
+        v1 = text.replace("mintplan-lp v2\n", f"mintplan-lp v1\nmode {mode}\n")
+        assert v1 != text
+        assert parse_lp_text(v1) == want
+
+
 def test_choose_mode_by_cost_gap():
+    """``solve_mip`` takes one search on ``bill - K`` only when the
+    smallest gap between two bills the level costs sum to exceeds K's
+    ceiling, which it reads off the built model."""
+    scenario, _ = tiny()  # two quarters
     coarse = MintConfig(
         blanking_breakpoints=(20.0, 28.0),
         blanking_costs=(8.0,),
@@ -422,16 +440,11 @@ def test_choose_mode_by_cost_gap():
     )
     # achievable cost sums are multiples of 4 apart: K <= 2 can never
     # flip a cost comparison, so one pass settles both objective parts
-    assert choose_mode(coarse, horizon=2, k_max=2.0) == "combined"
+    assert _one_pass(build(scenario, coarse, k_max=2.0))
     # a ceiling above the gap forces the explicit two-pass ordering
-    assert choose_mode(coarse, horizon=2, k_max=5.0) == "lexicographic"
+    assert not _one_pass(build(scenario, coarse, k_max=5.0))
     # CFG1 reaches sums 4 and 6 in two quarters: gap 2 is not above k_max=2
-    assert choose_mode(CFG1, horizon=2, k_max=2.0) == "lexicographic"
-
-
-def test_mode_recorded_on_problem():
-    problem = build(one_quarter_scenario(), CFG1)
-    assert problem.mode == choose_mode(CFG1, 1, 2.0)
+    assert not _one_pass(build(scenario, CFG1, k_max=2.0))
 
 
 def random_3q():
@@ -449,7 +462,7 @@ def random_3q():
     ids=["tiny", "random_3q"],
 )
 def test_build_reproduces_the_recorded_model(golden, make):
-    """Every row, coefficient, bound, binary and the mode of a
-    several-quarter, several-level model, byte for byte."""
+    """Every row, coefficient, bound and binary of a several-quarter,
+    several-level model, byte for byte."""
     scenario, config = make()
     assert export_lp_text(build(scenario, config)) == (GOLDEN / golden).read_text()
