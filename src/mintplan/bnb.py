@@ -8,13 +8,13 @@ annealing), then earliest quarter, then lowest level. Because the
 heap always pops the smallest bound, the first integral node popped is
 optimal and the search can stop there.
 
-The extra-shift bill comes before K. One search on ``bill - K`` is
-exact when every gap between two bills exceeds K's ceiling; otherwise
-two passes: minimize the bill with the safety reward switched off, then
-pin it at its optimum with one extra equality row and maximize K. When
-no binary has a negative cost, the K pass at a bill of 0 runs first:
-most replans need no paid shift, and for them that one search is the
-whole solve. Only when it is infeasible do the two passes run.
+The model's objective is the extra-shift bill, and the bill comes
+before K. This module alone rewards K: a K pass pins the bill with one
+extra equality row and maximizes K. When no binary has a negative cost,
+the K pass at a bill of 0 runs first: most replans need no paid shift,
+and for them that one search is the whole solve. Otherwise, or when it
+is infeasible, the bill pass minimizes the model's objective and the K
+pass runs at its bill.
 
 The root node solves the model under its own bounds, so a binary fixed
 before the search is fixed in the model: the integerizer escalates a
@@ -28,7 +28,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import replace
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -144,7 +143,7 @@ def _extract_solution(problem: StandardFormProblem, x: np.ndarray) -> Solution:
     np.maximum(inventory, 0.0, out=inventory)
     plan = MintingPlan(orders=orders, inventory=inventory)
     k = float(x[problem.column_index("K")])
-    cost = float(sum(problem.objective[col] * round(x[col]) for col in problem.binaries))
+    cost = _bill(problem, x)
     return Solution(
         status="optimal",
         objective=cost - k,
@@ -156,39 +155,21 @@ def _extract_solution(problem: StandardFormProblem, x: np.ndarray) -> Solution:
     )
 
 
-@lru_cache(maxsize=64)
-def _bill_gap(quarters: tuple, cap: int = 200_000) -> float | None:
-    """Smallest positive gap between two reachable bills, or None past
-    ``cap`` values. ``quarters`` holds each quarter's level costs per
-    process; a rolling simulation reuses one table, hence the cache."""
-    totals = {0.0}
-    for blanking, annealing, striking in quarters:
-        per_quarter = {b + a + s for b in (0.0, *blanking) for a in (0.0, *annealing) for s in (0.0, *striking)}
-        totals = {round(base + extra, 9) for base in totals for extra in per_quarter}
-        if len(totals) > cap:
-            return None
-    values = sorted(totals)
-    gaps = [hi - lo for lo, hi in zip(values, values[1:]) if hi - lo > 1e-12]
-    return min(gaps) if gaps else math.inf
+def _bill(problem: StandardFormProblem, x: np.ndarray) -> float:
+    """The extra-shift bill of a point: its rounded binaries priced at
+    their objective entries."""
+    return float(sum(problem.objective[col] * round(x[col]) for col in problem.binaries))
 
 
-def _one_pass(problem: StandardFormProblem) -> bool:
-    """Whether one search on ``bill - K`` is exact: every gap between two
-    bills, summed from the binaries' objective entries, exceeds K's
-    ceiling. An enumeration overflow means two passes."""
-    costs = [{process: [] for process in PROCESSES} for _ in range(problem.horizon)]
-    for col in problem.binaries:
-        var = problem.columns[col]
-        costs[var.quarter][_PROCESS_BY_KIND[var.kind]].append(problem.objective[col])
-    gap = _bill_gap(tuple(tuple(tuple(quarter[p]) for p in PROCESSES) for quarter in costs))
-    return gap is not None and gap > problem.k_max
+def _k_reward(problem: StandardFormProblem) -> tuple[float, ...]:
+    """An objective that maximizes K and nothing else."""
+    k_col = problem.column_index("K")
+    return tuple(-1.0 if col == k_col else 0.0 for col in range(len(problem.columns)))
 
 
 def _cost_locked(problem: StandardFormProblem, bill: float) -> StandardFormProblem:
-    """The K pass of a two-pass solve: maximize K with the extra-shift
-    bill pinned at ``bill`` by one equality row."""
-    k_objective = [0.0] * len(problem.columns)
-    k_objective[problem.column_index("K")] = -1.0
+    """The K pass: maximize K with the extra-shift bill pinned at
+    ``bill`` by one equality row."""
     lock = Row(
         label="cost_lock[0]",
         coeffs=tuple(
@@ -197,7 +178,7 @@ def _cost_locked(problem: StandardFormProblem, bill: float) -> StandardFormProbl
         relation="=",
         rhs=bill,
     )
-    return replace(problem, objective=tuple(k_objective), rows=problem.rows + (lock,))
+    return replace(problem, objective=_k_reward(problem), rows=problem.rows + (lock,))
 
 
 def solve_mip(
@@ -212,35 +193,27 @@ def solve_mip(
     on a level whose upper bound a ``forbid_extra_*`` restriction zeroed
     is a crossed column, which makes the solve infeasible.
 
-    The optimum has the least bill, then the largest K: one search on
-    ``bill - K`` when ``_one_pass`` says it is exact, else two passes.
-    Two passes whose binaries all cost 0 or more first try the K pass at
-    a bill of 0: a plan found there is the optimum, since no plan costs
-    less, so the cost pass is skipped. Only when that tree is infeasible
-    do the cost pass and the K pass at its bill run. All searches draw
-    on one budget of ``node_cap`` LPs.
+    The model's objective is the bill, and it must put nothing on K
+    (ValueError otherwise): the solver adds K's reward itself. The
+    optimum has the least bill, then the largest K. When no binary costs
+    less than 0, the K pass at a bill of 0 runs first: a plan found
+    there is the optimum, since no plan costs less. Otherwise, or when
+    that tree is infeasible, the bill pass minimizes the model's
+    objective and the K pass runs at its bill. All searches draw on one
+    budget of ``node_cap`` LPs.
     """
+    if problem.objective[problem.column_index("K")] != 0.0:
+        raise ValueError("the model's objective is the bill; the solver adds K's reward itself")
     budget = [node_cap]
-    if _one_pass(problem):
-        x = _branch_and_bound(problem, node_budget=budget)
-        if x is None:
-            return Solution(status="infeasible", objective=math.nan, cost=math.nan, k=math.nan)
-        return _extract_solution(problem, x)
-
-    # a zero bill when one exists, else cost first, then K with it pinned
     if all(problem.objective[col] >= 0.0 for col in problem.binaries):
         x = _branch_and_bound(_cost_locked(problem, 0.0), node_budget=budget)
         if x is not None:
             return _extract_solution(problem, x)
-    cost_objective = list(problem.objective)
-    cost_objective[problem.column_index("K")] = 0.0
-    phase1 = replace(problem, objective=tuple(cost_objective))
-    x1 = _branch_and_bound(phase1, node_budget=budget)
+    x1 = _branch_and_bound(problem, node_budget=budget)
     if x1 is None:
         return Solution(status="infeasible", objective=math.nan, cost=math.nan, k=math.nan)
-    best_cost = float(sum(problem.objective[col] * round(x1[col]) for col in problem.binaries))
-    x2 = _branch_and_bound(_cost_locked(problem, best_cost), node_budget=budget)
-    if x2 is None:  # the phase-1 point satisfies the lock, so this cannot happen
+    x2 = _branch_and_bound(_cost_locked(problem, _bill(problem, x1)), node_budget=budget)
+    if x2 is None:  # the bill pass's point satisfies the lock, so this cannot happen
         raise MintPlanError("cost-locked second pass lost feasibility")
     return _extract_solution(problem, x2)
 
@@ -647,7 +620,8 @@ def exhaustive_objective(problem: StandardFormProblem) -> tuple[str, float]:
     """Independent optimum by brute force: fix every admissible 0/1
     assignment of the shift binaries, solve the remaining LP, and keep
     the feasible candidate with the least bill (to 9 decimals), then the
-    largest K, whatever shortcut ``solve_mip`` takes.
+    largest K. Its LPs maximize K alone, and the bill is priced from
+    the model's binaries.
 
     Assignments switching two levels of the same ladder on in one
     quarter are skipped: the model's own choice rows make their LPs
@@ -676,7 +650,7 @@ def exhaustive_objective(problem: StandardFormProblem) -> tuple[str, float]:
     lower, upper = list(problem.lower), list(problem.upper)
     for col in problem.binaries:
         lower[col] = upper[col] = 0.0
-    off = replace(problem, lower=tuple(lower), upper=tuple(upper))
+    off = replace(problem, objective=_k_reward(problem), lower=tuple(lower), upper=tuple(upper))
 
     best_key = None
     best_objective = math.nan
@@ -689,7 +663,7 @@ def exhaustive_objective(problem: StandardFormProblem) -> tuple[str, float]:
         if res.status != "optimal":
             continue
         cost = float(sum(problem.objective[col] for col in levels))
-        k = cost - res.objective  # the LP part of the objective is -K
+        k = -res.objective
         key = (round(cost, 9), -k)
         if best_key is None or key < best_key:
             best_key = key

@@ -15,8 +15,9 @@ Each block runs quarter by quarter, so quarter t of a process owns
 has the one level ``h``); ``StandardFormProblem.n_levels`` reads that
 count off the columns.
 
-The objective charges every selected extra level and rewards ``K``;
-``bnb.solve_mip`` orders the bill before K, so the model stores no mode.
+The objective is the extra-shift bill: it charges every selected extra
+level and puts nothing on ``K``. ``bnb.solve_mip`` minimizes the bill,
+then adds K's reward itself and maximizes K at that bill.
 ``build`` writes the three processes in one loop: a process's capacity
 row charges each order its per-coin load from ``model.coin_loads``
 (blanking days, alloy tons, or one coin) and lets at most one extra
@@ -29,8 +30,10 @@ them off its rows: forcing the base capacity to be fully used appends
 that capacity row's order terms as an equality, and forbidding a
 process's extra levels zeroes that quarter's level-binary upper bounds.
 ``level_capacity`` reads what a capacity row allows at a level.
-``parse_lp_text`` reads the ``mintplan-lp v2`` text ``export_lp_text``
-writes, and v1 text, whose ``mode`` line it ignores.
+``parse_lp_text`` reads the ``mintplan-lp v3`` text ``export_lp_text``
+writes, and the older v2 and v1 texts, whose objective rewards K at
+exactly -1.0 and whose K term it drops (v1 has a ``mode`` line too,
+which it ignores).
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ INJECTED_FAMILIES = (
 _BINARY_KIND_BY_PROCESS = {"blanking": "c", "annealing": "h", "striking": "a"}
 _PROCESS_BY_KIND = {kind: process for process, kind in _BINARY_KIND_BY_PROCESS.items()}
 
-LP_HEADER = "mintplan-lp v2"
+LP_HEADER = "mintplan-lp v3"
+_LP_HEADER_V2 = "mintplan-lp v2"  # v3 plus a -1.0 K term in the objective
 _LP_HEADER_V1 = "mintplan-lp v1"  # v2 plus a mode line second
 
 #: Default ceiling for the safety-stock multiplier.
@@ -187,8 +191,8 @@ class InjectedConstraint:
 class StandardFormProblem:
     """A fully built model: columns, objective, rows, and bounds.
 
-    It stores no objective order: the solver reads whether one search
-    on ``bill - K`` is exact off the level costs and K's ceiling.
+    ``objective`` is the extra-shift bill: the level binaries' costs,
+    and 0.0 on ``K``, whose reward ``bnb.solve_mip`` adds itself.
     ``injected`` lists the restrictions ``restrict`` added: a
     ``force_base_*`` one is the row of the same label, a
     ``forbid_extra_*`` one the zero upper bounds of its quarter's level
@@ -306,7 +310,7 @@ def build(
                 objective.append(float(cost))
     col_k = len(columns)
     columns.append(VariableIndex(kind="K", column=col_k))
-    objective.append(-1.0)
+    objective.append(0.0)
 
     def terms(pairs: Iterable[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
         kept = [(col, float(coeff)) for col, coeff in pairs if coeff != 0.0]
@@ -563,7 +567,10 @@ def parse_lp_text(text: str) -> StandardFormProblem:
     """Inverse of ``export_lp_text``.
 
     The ``binary`` section must list every shift-level column once and
-    nothing else; any other document raises ``LpFormatError``. A v1
+    nothing else, and no two rows may share a label; any other document
+    raises ``LpFormatError``. A v3 objective puts nothing on ``K``. A v2
+    document is v3 whose objective rewards K with exactly one
+    ``-1.0 K`` term, which is dropped; any other K term raises. A v1
     document is v2 with ``mode lexicographic`` or ``mode combined``
     second; that line is ignored.
 
@@ -575,11 +582,12 @@ def parse_lp_text(text: str) -> StandardFormProblem:
     bounds on only part of a ladder are kept as bounds and recover no
     restriction."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if lines[:1] == [_LP_HEADER_V1]:
+    version = lines[0] if lines else ""
+    if version == _LP_HEADER_V1:
         if lines[1:2] not in (["mode lexicographic"], ["mode combined"]):
             raise LpFormatError(f"a {_LP_HEADER_V1!r} document needs a mode line second")
         del lines[1]
-    elif lines[:1] != [LP_HEADER]:
+    elif version not in (LP_HEADER, _LP_HEADER_V2):
         raise LpFormatError(f"missing or unsupported header; expected {LP_HEADER!r}")
 
     sections: dict[str, list[str]] = {"minimize": [], "subject to": [], "bounds": [], "binary": []}
@@ -620,17 +628,28 @@ def parse_lp_text(text: str) -> StandardFormProblem:
     if len(sections["minimize"]) != 1:
         raise LpFormatError("minimize section must hold exactly one line")
     objective = [0.0] * len(columns)
+    k_terms = []
     for col, coeff in _parse_terms(sections["minimize"][0], column_of):
-        objective[col] = coeff
+        if columns[col].kind == "K":
+            k_terms.append(coeff)
+        else:
+            objective[col] = coeff
+    if k_terms != ([] if version == LP_HEADER else [-1.0]):
+        want = "no K term" if version == LP_HEADER else "one -1.0 K term"
+        raise LpFormatError(f"a {version!r} objective needs {want}, got K terms {k_terms}")
 
     row_re = re.compile(r"^([A-Za-z_]+\[[0-9,]+\]): (.*) (<=|=|>=) (\S+)$")
     rows: list[Row] = []
     injected: list[InjectedConstraint] = []
+    labels: set[str] = set()
     for ln in sections["subject to"]:
         m = row_re.match(ln)
         if m is None:
             raise LpFormatError(f"malformed constraint line {ln!r}")
         label, body, relation, rhs_text = m.groups()
+        if label in labels:
+            raise LpFormatError(f"row label {label!r} appears twice")
+        labels.add(label)
         rhs = _lp_number(rhs_text, f"right-hand side in {ln!r}")
         rows.append(Row(label=label, coeffs=_parse_terms(body, column_of), relation=relation, rhs=rhs))
         family, _, quarter = label[:-1].partition("[")

@@ -5,13 +5,16 @@ code. The LP oracle enumerates basic points geometrically; the random
 LP generator builds small dense problems straight from the dataclasses.
 These routines were written and frozen before the solvers were tuned
 against them. ``highs_lexicographic`` hands a model to HiGHS, through
-scipy, for instances too large to enumerate.
+scipy, for instances too large to enumerate. ``permute_rows`` and
+``floors_as_bounds`` rewrite a model into an equivalent one, which must
+solve to the same answer at any size.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -192,3 +195,24 @@ def highs_lexicographic(problem: StandardFormProblem) -> tuple[str, float, float
     second = solve(k_reward, [rows, LinearConstraint(bill[None, :], best - slack, best + slack)])
     assert second.status == 0, second.message
     return ("optimal", best, float(second.x[problem.column_index("K")]))
+
+
+def permute_rows(problem: StandardFormProblem, rng: np.random.Generator) -> StandardFormProblem:
+    """The model with its rows in a random order."""
+    order = rng.permutation(len(problem.rows))
+    return replace(problem, rows=tuple(problem.rows[i] for i in order))
+
+
+def floors_as_bounds(problem: StandardFormProblem) -> StandardFormProblem:
+    """The model with each ``operating_floor`` row dropped and its stock
+    column's lower bound raised to the row's right-hand side."""
+    lower = list(problem.lower)
+    rows = []
+    for row in problem.rows:
+        if row.label.startswith("operating_floor["):
+            ((col, coeff),) = row.coeffs
+            assert coeff == 1.0 and row.relation == ">=", row
+            lower[col] = max(lower[col], row.rhs)
+        else:
+            rows.append(row)
+    return replace(problem, rows=tuple(rows), lower=tuple(lower))

@@ -580,27 +580,29 @@ def test_enumeration_keeps_its_warm_pivot_path():
 
 def every_binary_override_objective(problem):
     """The enumeration of ``exhaustive_objective`` with every binary in
-    each LP's override, on the model itself, and the bill summed over
-    all the binaries."""
+    each LP's override, on a copy of the model that maximizes K and
+    changes nothing else, and the bill summed over all the binaries."""
     families: dict = {}
     for col in problem.binaries:
         var = problem.columns[col]
         families.setdefault((var.kind, var.quarter), []).append(col)
     options = [[None] + [col for col in sorted(families[key]) if problem.upper[col] > 0.0] for key in sorted(families)]
     best_key, best_objective = None, math.nan
-    last = lpsolve.slack_start(problem)
+    k_col = problem.column_index("K")
+    k_only = replace(problem, objective=tuple(-1.0 if col == k_col else 0.0 for col in range(len(problem.columns))))
+    last = lpsolve.slack_start(k_only)
     for combo in itertools.product(*options):
         override = {col: (0.0, 0.0) for col in problem.binaries}
         for col in combo:
             if col is not None:
                 override[col] = (1.0, 1.0)
-        res = lpsolve.solve_lp(problem, bounds_override=override, warm_start=last)
+        res = lpsolve.solve_lp(k_only, bounds_override=override, warm_start=last)
         if res.can_warm_start:
             last = res
         if res.status != "optimal":
             continue
         cost = float(sum(problem.objective[col] * hi for col, (_, hi) in override.items()))
-        k = cost - res.objective
+        k = -res.objective
         key = (round(cost, 9), -k)
         if best_key is None or key < best_key:
             best_key, best_objective = key, cost - k
@@ -638,12 +640,11 @@ def test_enumeration_answers_match_an_override_of_every_binary():
 
 def two_pass_reference(problem):
     """The lexicographic solve as two searches and nothing else: minimize
-    the bill with K's reward off, then maximize K with the bill pinned
-    at that optimum by an equality row."""
+    the bill, the model's objective, then maximize K with the bill
+    pinned at that optimum by an equality row."""
     budget = [bnb.DEFAULT_NODE_CAP]
     k_col = problem.column_index("K")
-    cost_objective = tuple(0.0 if col == k_col else c for col, c in enumerate(problem.objective))
-    x1 = bnb._branch_and_bound(replace(problem, objective=cost_objective), node_budget=budget)
+    x1 = bnb._branch_and_bound(problem, node_budget=budget)
     if x1 is None:
         return bnb.Solution(status="infeasible", objective=math.nan, cost=math.nan, k=math.nan)
     bill = float(sum(problem.objective[col] * round(x1[col]) for col in problem.binaries))
@@ -683,12 +684,25 @@ def count_lps(solve) -> int:
 
 def test_zero_bill_attempt_returns_the_two_pass_answer():
     """Trying the K pass at a zero bill first is a shortcut, not a new
-    answer: on every pivot-path problem, and with a paid level fixed as
-    the integerizer's escalation does, ``solve_mip`` returns exactly what
-    the cost pass followed by the cost-locked K pass returns."""
+    answer: on every pivot-path problem, on the tiny scenario with costs
+    whose bills lie 4 apart at K ceilings under and over that gap, and
+    with a paid level fixed as the integerizer's escalation does,
+    ``solve_mip`` returns exactly what the cost pass followed by the
+    cost-locked K pass returns."""
     problems = pivot_path_problems()
+    scenario, _ = load_fixture("tiny.json")
+    coarse = MintConfig(
+        blanking_breakpoints=(20.0, 28.0),
+        blanking_costs=(8.0,),
+        annealing_base=300.0,
+        annealing_max=400.0,
+        annealing_cost=12.0,
+        striking_breakpoints=(70.0, 90.0),
+        striking_costs=(20.0,),
+    )
+    for k_max in (2.0, 5.0):
+        problems[f"coarse[{k_max}]"] = build(scenario, coarse, k_max=k_max)
     for name, problem in problems.items():
-        assert not bnb._one_pass(problem), name
         assert same_answer(solve_mip(problem), two_pass_reference(problem)), name
     tiny = problems["tiny.json"]
     for paid in (("a", 1, 1), ("a", 0, 2), ("c", 0, 1), ("h", 1)):
@@ -734,6 +748,20 @@ def test_a_negative_binary_cost_skips_the_zero_bill_attempt(monkeypatch):
     assert got.objective == pytest.approx(objective, abs=1e-9)
 
 
+def test_a_k_reward_in_the_model_is_refused():
+    """The model's objective is the bill, and the solver adds K's reward
+    itself. A model whose objective rewards K, as ``build`` once wrote,
+    would turn the bill pass into a search on ``bill - K``, so
+    ``solve_mip`` refuses it."""
+    problem = build(*load_fixture("tiny.json"))
+    k_col = problem.column_index("K")
+    assert problem.objective[k_col] == 0.0
+    for reward in (-1.0, 1.0):
+        objective = tuple(reward if col == k_col else c for col, c in enumerate(problem.objective))
+        with pytest.raises(ValueError, match="bill"):
+            solve_mip(replace(problem, objective=objective))
+
+
 def rounded_costs(config: MintConfig, step: float = 4.0) -> MintConfig:
     """The config with every shift cost rounded to a multiple of ``step``,
     at least ``step``: bills then differ by ``step`` or more."""
@@ -749,20 +777,18 @@ def rounded_costs(config: MintConfig, step: float = 4.0) -> MintConfig:
 
 
 def test_the_objective_order_is_read_off_the_model():
-    """Raising K's ceiling in a model's text past the bills' gap makes the
-    solve take two passes: one search on ``bill - K`` would buy a shift
-    for more K. Draw 12 of ``default_rng(2026)`` at costs in steps of 4
-    has a plan with no paid shift at K 3.87, while paying 4 reaches K
-    8.97. The enumeration ranks by bill, then K, and agrees."""
+    """Raising K's ceiling in a model's text past the bills' gap never
+    buys a shift for more K: one search on ``bill - K`` would. Draw 12 of
+    ``default_rng(2026)`` at costs in steps of 4 has a plan with no paid
+    shift at K 3.87, while paying 4 reaches K 8.97. The enumeration
+    ranks by bill, then K, and agrees."""
     rng = np.random.default_rng(2026)
     for _ in range(13):
         scenario, config = random_instance(rng)
     problem = build(scenario, rounded_costs(config))
-    assert bnb._one_pass(problem)
     text = export_lp_text(problem)
     assert text.count("<= K <= 2.0\n") == 1
     raised = parse_lp_text(text.replace("<= K <= 2.0\n", "<= K <= 20.0\n"))
-    assert not bnb._one_pass(raised)
     got = solve_mip(raised)
     assert (got.status, got.cost, got.k) == ("optimal", 0.0, 3.868552817221955)
     assert exhaustive_objective(raised) == ("optimal", got.objective)
@@ -772,8 +798,8 @@ def test_tree_search_agrees_with_highs():
     """HiGHS, reading nothing but the model's rows, bounds and binaries,
     gives ``solve_mip``'s status, bill and K: on 5-quarter,
     7-denomination draws, far past what the enumeration can reach, and
-    on 3-quarter draws at costs in steps of 4, which take one search on
-    ``bill - K``."""
+    on 3-quarter draws at costs in steps of 4, whose bills lie further
+    apart than K's ceiling."""
     pytest.importorskip("scipy")
     from oracles import highs_lexicographic
 
@@ -782,9 +808,7 @@ def test_tree_search_agrees_with_highs():
     rng = np.random.default_rng(2026)
     for _ in range(20):
         scenario, config = random_instance(rng, horizon=3, n_denoms=3)
-        problem = build(scenario, rounded_costs(config))
-        assert bnb._one_pass(problem)
-        cases.append((problem, bnb.DEFAULT_NODE_CAP))
+        cases.append((build(scenario, rounded_costs(config)), bnb.DEFAULT_NODE_CAP))
     statuses = set()
     for i, (problem, node_cap) in enumerate(cases):
         got = solve_mip(problem, node_cap=node_cap)
@@ -794,4 +818,31 @@ def test_tree_search_agrees_with_highs():
             assert got.cost == pytest.approx(bill, rel=1e-6, abs=1e-6), i
             assert got.k == pytest.approx(k, rel=1e-6, abs=1e-6), i
         statuses.add(status)
+    assert statuses == {"optimal", "infeasible"}
+
+
+def test_equivalent_models_solve_to_the_same_answer():
+    """Metamorphic relations: a model with its rows permuted, and one
+    with its stock floors as bounds instead of rows, solve to the status,
+    bill and K of the model itself, on 3-quarter draws and on 5-quarter,
+    7-denomination draws past the enumeration's reach."""
+    from oracles import floors_as_bounds, permute_rows
+
+    rng = np.random.default_rng(12)
+    cases = [(build(*random_instance(rng, horizon=3, n_denoms=3)), bnb.DEFAULT_NODE_CAP) for _ in range(20)]
+    rng = np.random.default_rng(2026)
+    cases += [(build(*random_instance(rng, horizon=5, n_denoms=7)), 400) for _ in range(10)]
+    statuses = set()
+    for i, (problem, node_cap) in enumerate(cases):
+        want = solve_mip(problem, node_cap=node_cap)
+        statuses.add(want.status)
+        for name, equivalent in (
+            ("rows permuted", permute_rows(problem, np.random.default_rng(1000 + i))),
+            ("floors as bounds", floors_as_bounds(problem)),
+        ):
+            got = solve_mip(equivalent, node_cap=node_cap)
+            assert got.status == want.status, (i, name)
+            if want.status == "optimal":
+                assert got.cost == want.cost, (i, name)
+                assert got.k == pytest.approx(want.k, rel=1e-7), (i, name)
     assert statuses == {"optimal", "infeasible"}

@@ -107,7 +107,7 @@ def test_export_lp_round_trips(tiny_path, tmp_path, capsys):
     out_path = tmp_path / "model.lp"
     assert main(["export-lp", tiny_path, "-o", str(out_path)]) == 0
     text = out_path.read_text()
-    assert text.startswith("mintplan-lp v2\nminimize\n")
+    assert text.startswith("mintplan-lp v3\nminimize\n")
     parsed = parse_lp_text(text)
     scenario, config = load_scenario(fixture_text("tiny.json"))
     direct = build(scenario, config)

@@ -23,7 +23,7 @@ from mintplan import (
     restrict,
     scaled_breakpoints,
 )
-from mintplan.bnb import _one_pass, random_instance, solve_mip
+from mintplan.bnb import random_instance, solve_mip
 from mintplan.mip import level_capacity
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -105,8 +105,8 @@ def test_single_quarter_coefficients_by_hand():
     assert by_label["operating_floor[0,0]"].relation == ">="
     assert by_label["operating_floor[0,0]"].rhs == 10.0
 
-    # objective: paid levels plus the -K reward
-    assert problem.objective == (0.0, 0.0, 4.0, 6.0, 9.0, -1.0)
+    # objective: the paid levels' bill, nothing on K
+    assert problem.objective == (0.0, 0.0, 4.0, 6.0, 9.0, 0.0)
     assert problem.binaries == (2, 3, 4)
     assert problem.upper[0] == 90.0  # orders capped at the top striking breakpoint
     assert problem.upper[1] == 100.0  # stocks capped at the vault
@@ -384,7 +384,7 @@ def test_parse_lp_text_rejects_malformed_documents():
     with pytest.raises(LpFormatError):
         parse_lp_text("not an lp file\n")
     with pytest.raises(LpFormatError):
-        parse_lp_text(text.replace("mintplan-lp v2", "mintplan-lp v3"))
+        parse_lp_text(text.replace("mintplan-lp v3", "mintplan-lp v4"))
     with pytest.raises(LpFormatError):
         parse_lp_text(text.replace("subject to\n", ""))
     with pytest.raises(LpFormatError):
@@ -396,8 +396,15 @@ def test_parse_lp_text_rejects_malformed_documents():
         tiny_text.replace("  a[1,1]\n", "  a[1,1]\n  a[1,1]\n"),
         tiny_text.replace("\nend\n", "\n  f[0,0]\nend\n"),  # an order column is no shift level
         tiny_text.replace("  a[0,1]\n  a[0,2]\n", "  a[0,2]\n"),  # a continuous level would go unbilled
-        tiny_text.replace("mintplan-lp v2\n", "mintplan-lp v1\nmode foo\n"),  # v1 knew two modes
-        tiny_text.replace("mintplan-lp v2\n", "mintplan-lp v1\n"),  # v1 put a mode line second
+        older_text(tiny_text, "mintplan-lp v1\nmode foo"),  # v1 knew two modes
+        older_text(tiny_text, "mintplan-lp v1"),  # v1 put a mode line second
+        # only -1.0 rewards K in older text: the solver adds that reward itself
+        older_text(tiny_text, "mintplan-lp v2").replace(" + -1.0 K\n", " + -3.0 K\n"),
+        older_text(tiny_text, "mintplan-lp v2").replace(" + -1.0 K\n", "\n"),
+        older_text(tiny_text, "mintplan-lp v2").replace(" + -1.0 K\n", " + -1.0 K + -1.0 K\n"),
+        tiny_text.replace(" a[1,2]\nsubject to\n", " a[1,2] + -1.0 K\nsubject to\n"),  # v3 puts nothing on K
+        # a repeated label: the solver would obey both rows, level_capacity only the last
+        tiny_text.replace("\nbounds\n", "\n  striking_capacity[0]: 1.0 f[0,0] + 1.0 f[0,1] <= 90.0\nbounds\n"),
         # a restriction row names one quarter
         tiny_text.replace("\nbounds\n", "\n  force_base_striking[0,1]: 1.0 f[0,0] = 3.0\nbounds\n"),
         # build never writes a non-finite number, and the solver cannot take one
@@ -405,46 +412,32 @@ def test_parse_lp_text_rejects_malformed_documents():
         tiny_text.replace("<= 300.0", "<= inf", 1),
         tiny_text.replace("2.5 f[0,0]", "nan f[0,0]", 1),  # an order's load
         tiny_text.replace("4.0 c[0,1]", "nan c[0,1]", 1),  # a level's cost
-        tiny_text.replace("-1.0 K", "-inf K", 1),  # the K reward
+        older_text(tiny_text, "mintplan-lp v2").replace("-1.0 K", "-inf K", 1),  # the K reward
         tiny_text.replace("<= K <= 2.0", "<= K <= inf", 1),  # the K ceiling
     ):
         with pytest.raises(LpFormatError):
             parse_lp_text(bad)
 
 
-def test_v1_text_reads_as_v2():
-    """A v1 document is v2 with a mode line second. The solver works the
-    objective order out from the model, so either mode parses to the
-    problem the v2 text gives."""
+def older_text(text: str, header: str) -> str:
+    """A v3 export as an older version writes it: ``header`` first, and
+    the objective rewarding K at -1.0."""
+    lines = text.split("\n")
+    assert lines[0] == "mintplan-lp v3" and lines[1] == "minimize"
+    return "\n".join([header, lines[1], lines[2] + " + -1.0 K", *lines[3:]])
+
+
+def test_v1_and_v2_texts_read_as_v3():
+    """A v2 document is v3 whose objective rewards K at -1.0, and a v1
+    document is v2 with a mode line second. The solver adds K's reward
+    and works the objective order out itself, so every one parses to the
+    problem the v3 text gives."""
     text = export_lp_text(restrict(build(*tiny()), (InjectedConstraint("force_base_striking", 0),)))
     want = parse_lp_text(text)
-    for mode in ("lexicographic", "combined"):
-        v1 = text.replace("mintplan-lp v2\n", f"mintplan-lp v1\nmode {mode}\n")
-        assert v1 != text
-        assert parse_lp_text(v1) == want
-
-
-def test_choose_mode_by_cost_gap():
-    """``solve_mip`` takes one search on ``bill - K`` only when the
-    smallest gap between two bills the level costs sum to exceeds K's
-    ceiling, which it reads off the built model."""
-    scenario, _ = tiny()  # two quarters
-    coarse = MintConfig(
-        blanking_breakpoints=(20.0, 28.0),
-        blanking_costs=(8.0,),
-        annealing_base=300.0,
-        annealing_max=400.0,
-        annealing_cost=12.0,
-        striking_breakpoints=(70.0, 90.0),
-        striking_costs=(20.0,),
-    )
-    # achievable cost sums are multiples of 4 apart: K <= 2 can never
-    # flip a cost comparison, so one pass settles both objective parts
-    assert _one_pass(build(scenario, coarse, k_max=2.0))
-    # a ceiling above the gap forces the explicit two-pass ordering
-    assert not _one_pass(build(scenario, coarse, k_max=5.0))
-    # CFG1 reaches sums 4 and 6 in two quarters: gap 2 is not above k_max=2
-    assert not _one_pass(build(scenario, CFG1, k_max=2.0))
+    for header in ("mintplan-lp v2", "mintplan-lp v1\nmode lexicographic", "mintplan-lp v1\nmode combined"):
+        older = older_text(text, header)
+        assert older != text
+        assert parse_lp_text(older) == want
 
 
 def random_3q():
