@@ -62,7 +62,8 @@ class NodeCapExceeded(MintPlanError):
 
 
 class RepairInfeasibleError(MintPlanError):
-    """Greedy integerization could not restore all stock floors.
+    """Greedy integerization could not restore all stock floors or a
+    pinned first-quarter total.
 
     ``partial_plan`` carries the best repaired plan reached before
     giving up, for inspection.
@@ -193,17 +194,18 @@ def solve_mip(
     on a level whose upper bound a ``forbid_extra_*`` restriction zeroed
     is a crossed column, which makes the solve infeasible.
 
-    The model's objective is the bill, and it must put nothing on K
-    (ValueError otherwise): the solver adds K's reward itself. The
-    optimum has the least bill, then the largest K. When no binary costs
-    less than 0, the K pass at a bill of 0 runs first: a plan found
-    there is the optimum, since no plan costs less. Otherwise, or when
-    that tree is infeasible, the bill pass minimizes the model's
-    objective and the K pass runs at its bill. All searches draw on one
-    budget of ``node_cap`` LPs.
+    The model's objective is the bill: it must price level binaries and
+    nothing else (ValueError otherwise), and the solver adds K's reward
+    itself. The optimum has the least bill, then the largest K. When no
+    binary costs less than 0, the K pass at a bill of 0 runs first: a
+    plan found there is the optimum, since no plan costs less.
+    Otherwise, or when that tree is infeasible, the bill pass minimizes
+    the model's objective and the K pass runs at its bill. All searches
+    draw on one budget of ``node_cap`` LPs.
     """
-    if problem.objective[problem.column_index("K")] != 0.0:
-        raise ValueError("the model's objective is the bill; the solver adds K's reward itself")
+    levels = set(problem.binaries)
+    if any(cost != 0.0 for col, cost in enumerate(problem.objective) if col not in levels):
+        raise ValueError("the model's objective is the bill of its level binaries; the solver adds K's reward itself")
     budget = [node_cap]
     if all(problem.objective[col] >= 0.0 for col in problem.binaries):
         x = _branch_and_bound(_cost_locked(problem, 0.0), node_budget=budget)
@@ -300,18 +302,15 @@ class _Repair:
         Striking targets are met with whole granules plus at most one
         fractional top-up; blanking targets get one fractional top-up
         (or granule swaps when the coin total is pinned too). Returns
-        descriptions of targets that could not be restored.
+        the labels of the rows whose totals could not be restored.
         """
         unresolved = []
         for q in sorted(self.pinned):
             targets = self.pinned[q]
-            if "striking" in targets:
-                if not self._restore_total(q, targets["striking"]):
-                    unresolved.append(f"force_base_striking[{q}]")
-                    continue
-            if "blanking" in targets:
-                if not self._restore_weighted(q, targets["blanking"], "striking" in targets):
-                    unresolved.append(f"force_base_blanking[{q}]")
+            if "striking" in targets and not self._restore_total(q, targets["striking"]):
+                unresolved.append(f"force_base_striking[{q}]")  # the load is not tried on a broken count
+            elif "blanking" in targets and not self._restore_weighted(q, targets["blanking"], "striking" in targets):
+                unresolved.append(f"force_base_blanking[{q}]")
         return unresolved
 
     def _denoms_by_remainder(self, q: int):
@@ -338,19 +337,7 @@ class _Repair:
             guard += 1
             if guard > 100_000:
                 return False
-        if gap > 1e-9:
-            for d in self._denoms_by_remainder(q):
-                delta = np.zeros(self.f.shape[1])
-                delta[d] = gap
-                if self.misfit(q, delta) is None:
-                    self.f[q, d] += gap
-                    self.notes.append(
-                        f"fractional top-up of {gap:g} on denomination {d} in quarter {q} "
-                        "to restore the pinned coin total"
-                    )
-                    return True
-            return False
-        return True
+        return gap <= 1e-9 or self._top_up(q, gap, self.loads["striking"], "coin total")
 
     def _restore_weighted(self, q: int, target: float, pinned_total: bool) -> bool:
         D = self.f.shape[1]
@@ -358,21 +345,7 @@ class _Repair:
         if abs(gap) <= 1e-9:
             return True
         if not pinned_total:
-            if gap < -1e-6:
-                return False
-            for d in self._denoms_by_remainder(q):
-                if self.rates[d] <= 0:
-                    continue
-                delta = np.zeros(D)
-                delta[d] = gap / self.rates[d]
-                if self.misfit(q, delta) is None:
-                    self.f[q] += delta
-                    self.notes.append(
-                        f"fractional top-up of {delta[d]:g} on denomination {d} in quarter {q} "
-                        "to restore the pinned blanking load"
-                    )
-                    return True
-            return False
+            return gap >= -1e-6 and self._top_up(q, gap, self.rates, "blanking load")
         # the coin total is pinned too: move volume between two rates
         pairs = sorted(
             ((i, j) for i in range(D) for j in range(D) if self.rates[i] != self.rates[j]),
@@ -388,6 +361,22 @@ class _Repair:
                 self.notes.append(
                     f"moved {abs(shift):g} coins between denominations {j} and {i} in quarter {q} "
                     "to restore the pinned blanking load"
+                )
+                return True
+        return False
+
+    def _top_up(self, q: int, gap: float, loads: np.ndarray, what: str) -> bool:
+        """Close the last ``gap`` of a pinned total in quarter ``q`` with
+        one fractional order on the first denomination, by remainder,
+        that fits; ``loads`` is what one coin of each adds to the total."""
+        for d in self._denoms_by_remainder(q):
+            delta = np.zeros(self.f.shape[1])
+            delta[d] = gap / loads[d]
+            if self.misfit(q, delta) is None:
+                self.f[q] += delta
+                self.notes.append(
+                    f"fractional top-up of {delta[d]:g} on denomination {d} in quarter {q} "
+                    f"to restore the pinned {what}"
                 )
                 return True
         return False
@@ -431,51 +420,36 @@ class _Repair:
             blocks.extend((t_add, process) for process in crossed)
             return False
 
-        donors = sorted(
-            (df for df in range(D) if df != d),
-            key=lambda df: -self._donor_slack(t_add, df),
-        )
-
         if kinds == {"blanking"} and self.rates[d] <= 1e-12:
             # the target denomination consumes no blanking days, so
             # stock can simply be added without touching the pinned load
             delta = np.zeros(D)
             delta[d] = need
-            if attempt(delta, need):
-                return True, blocks
-        elif kinds == {"blanking"}:
-            # withdraw blanking-days-for-blanking-days, not coin-for-coin
-            for d_from in donors:
-                if self.rates[d_from] <= 1e-12:
-                    continue
-                slack = self._donor_slack(t_add, d_from)
-                amount = min(need, slack * self.rates[d_from] / self.rates[d])
-                delta = np.zeros(D)
-                delta[d] = amount
-                delta[d_from] = -amount * self.rates[d] / self.rates[d_from]
-                if attempt(delta, amount):
-                    return True, blocks
+            return attempt(delta, need), blocks
+
+        donors = sorted(
+            (df for df in range(D) if df != d),
+            key=lambda df: -self._donor_slack(t_add, df),
+        )
+        # one donor gives up take / give coins per coin gained: blanking
+        # days for blanking days under a pinned load, else one for one (a
+        # pinned count, or both pinned and a donor of the target's rate)
+        if kinds == {"blanking"}:
+            trades = [(df, self.rates[df], self.rates[d]) for df in donors if self.rates[df] > 1e-12]
         elif kinds == {"striking"}:
-            for d_from in donors:
-                amount = min(need, self._donor_slack(t_add, d_from))
-                delta = np.zeros(D)
-                delta[d] = amount
-                delta[d_from] = -amount
-                if attempt(delta, amount):
-                    return True, blocks
+            trades = [(df, 1.0, 1.0) for df in donors]
         else:
-            # both totals pinned: an equal-rate donor swaps one for one;
-            # otherwise two donors whose rates bracket the target's split
-            # the withdrawal so count and load both stay put
-            for d_from in donors:
-                if abs(self.rates[d_from] - self.rates[d]) > 1e-12:
-                    continue
-                amount = min(need, self._donor_slack(t_add, d_from))
-                delta = np.zeros(D)
-                delta[d] = amount
-                delta[d_from] = -amount
-                if attempt(delta, amount):
-                    return True, blocks
+            trades = [(df, 1.0, 1.0) for df in donors if abs(self.rates[df] - self.rates[d]) <= 1e-12]
+        for d_from, give, take in trades:
+            amount = min(need, self._donor_slack(t_add, d_from) * give / take)
+            delta = np.zeros(D)
+            delta[d] = amount
+            delta[d_from] = -amount * take / give
+            if attempt(delta, amount):
+                return True, blocks
+        if len(kinds) == 2:
+            # both totals pinned: two donors whose rates bracket the
+            # target's split the withdrawal so count and load both stay put
             for i in donors:
                 for j in donors:
                     span = self.rates[i] - self.rates[j]
@@ -565,8 +539,11 @@ def integerize(
     model has binaries. Every escalation leaves a note with its cost
     delta from ``solution``. A repair no escalation can unblock (the
     vault, pinned stock with nothing to trade, or no feasible next
-    level) raises RepairInfeasibleError. The result keeps the cost and
-    shifts of the solution it repaired, not those of its usage.
+    level) raises RepairInfeasibleError, and so does a final repair
+    that leaves a pinned total unrebuilt, naming its ``force_base_*``
+    rows: every plan returned meets those rows of the model it was
+    repaired on. The result keeps the cost and shifts of the solution
+    it repaired, not those of its usage.
     """
     if solution.status != "optimal":
         raise ValueError("only optimal solutions can be integerized")
@@ -576,11 +553,12 @@ def integerize(
     given_cost = solution.cost
     while True:
         work = _Repair(problem, solution, scenario, granularity)
-        for label in work.restore_equalities():
-            work.notes.append(f"could not restore injected equality {label}")
+        unrestored = work.restore_equalities()
         blocked = work.repair_floors()
         if blocked is None:
             plan = MintingPlan(orders=work.f, inventory=work.inventory())
+            if unrestored:
+                raise RepairInfeasibleError(f"could not restore {', '.join(unrestored)}", partial_plan=plan)
             return replace(solution, plan=plan, notes=solution.notes + tuple(work.notes))
 
         # an empty block list means nothing capacity-shaped stood in the

@@ -19,9 +19,13 @@ when it does not hurt:
 
 The procedures take the unrestricted model the plan was solved on: each
 restricted variant is ``mip.restrict`` of it, and base capacities are
-read off its rows. Accepted restrictions accumulate: each acceptance replaces the working
-plan, so later guards are evaluated against the already-restricted
-plan, and the solution's ``injections`` field carries the final set.
+read off its rows. A variant is solved and integerized like the model
+itself; ``integerize`` returns only plans that meet the variant's pinned
+totals, so any plan it returns is taken, and a variant it cannot repair
+counts as infeasible. Accepted restrictions accumulate: each acceptance
+replaces the working plan, so later guards are evaluated against the
+already-restricted plan, and the solution's ``injections`` field carries
+the final set.
 """
 
 from __future__ import annotations
@@ -54,31 +58,6 @@ class HeuristicEvent:
     reason: str
 
 
-def _blanking_tolerance(scenario: Scenario, granularity: float) -> float:
-    max_rate = float(coin_loads(scenario.coin_specs)["blanking"].max())
-    return max(ACCEPT_TOL, granularity * max_rate + BOUNDARY_TOL)
-
-
-def _injections_hold(solution: Solution, model: StandardFormProblem, scenario: Scenario, granularity: float) -> bool:
-    """Whether the integerized plan still honors every injected
-    restriction, against the base capacities of ``model``'s rows. Pinned
-    coin totals must hold tightly; pinned blanking loads get one granule
-    of slack; forbidden extras mean the quarter's usage stays within
-    base capacity."""
-    for inj in solution.injections:
-        base = mip_mod.level_capacity(model, inj.process, inj.quarter, 0)
-        use = costs_mod.usage(solution.plan.orders[inj.quarter], scenario.coin_specs).for_process(inj.process)
-        if inj.kind == "force_base_striking":
-            if abs(use - base) > ACCEPT_TOL:
-                return False
-        elif inj.kind == "force_base_blanking":
-            if abs(use - base) > _blanking_tolerance(scenario, granularity):
-                return False
-        elif use > base + ACCEPT_TOL:
-            return False
-    return True
-
-
 def _solve_restricted(
     scenario: Scenario,
     model: StandardFormProblem,
@@ -88,19 +67,17 @@ def _solve_restricted(
     node_cap: int,
 ) -> Solution | None:
     """Full pipeline on the unrestricted ``model`` under the given
-    injections, or None when the restricted model is infeasible or
-    cannot be repaired."""
+    injections, or None when the restricted model is infeasible or its
+    solution cannot be integerized. A plan ``integerize`` returns meets
+    every pinned total of the restricted model, so it is taken as is."""
     problem = mip_mod.restrict(model, injections)
     sol = bnb_mod.solve_mip(problem, node_cap=node_cap)
     if sol.status != "optimal":
         return None
     try:
-        sol = bnb_mod.integerize(problem, sol, scenario, granularity=granularity, node_cap=node_cap)
+        return bnb_mod.integerize(problem, sol, scenario, granularity=granularity, node_cap=node_cap)
     except RepairInfeasibleError:
         return None
-    if not _injections_hold(sol, model, scenario, granularity):
-        return None
-    return sol
 
 
 def _pinned_count_rules_out_blanking(scenario: Scenario, model: StandardFormProblem) -> bool:

@@ -568,11 +568,11 @@ def parse_lp_text(text: str) -> StandardFormProblem:
 
     The ``binary`` section must list every shift-level column once and
     nothing else, and no two rows may share a label; any other document
-    raises ``LpFormatError``. A v3 objective puts nothing on ``K``. A v2
-    document is v3 whose objective rewards K with exactly one
-    ``-1.0 K`` term, which is dropped; any other K term raises. A v1
-    document is v2 with ``mode lexicographic`` or ``mode combined``
-    second; that line is ignored.
+    raises ``LpFormatError``. A v3 objective prices shift levels and
+    nothing else. A v2 document is v3 whose objective also rewards K
+    with exactly one ``-1.0 K`` term, which is dropped; any other K term
+    raises. A v1 document is v2 with ``mode lexicographic`` or
+    ``mode combined`` second; that line is ignored.
 
     ``injected`` is recovered from the model: first the restrictions
     whose rows appear, in row order, then one ``forbid_extra_*`` per
@@ -632,8 +632,10 @@ def parse_lp_text(text: str) -> StandardFormProblem:
     for col, coeff in _parse_terms(sections["minimize"][0], column_of):
         if columns[col].kind == "K":
             k_terms.append(coeff)
-        else:
+        elif columns[col].kind in _PROCESS_BY_KIND:
             objective[col] = coeff
+        else:
+            raise LpFormatError(f"the objective prices shift levels only, not {columns[col].name!r}")
     if k_terms != ([] if version == LP_HEADER else [-1.0]):
         want = "no K term" if version == LP_HEADER else "one -1.0 K term"
         raise LpFormatError(f"a {version!r} objective needs {want}, got K terms {k_terms}")

@@ -5,9 +5,10 @@ code. The LP oracle enumerates basic points geometrically; the random
 LP generator builds small dense problems straight from the dataclasses.
 These routines were written and frozen before the solvers were tuned
 against them. ``highs_lexicographic`` hands a model to HiGHS, through
-scipy, for instances too large to enumerate. ``permute_rows`` and
-``floors_as_bounds`` rewrite a model into an equivalent one, which must
-solve to the same answer at any size.
+scipy, for instances too large to enumerate. ``permute_rows``,
+``floors_as_bounds``, ``scale_rows`` and ``duplicate_capacity_rows``
+rewrite a model into an equivalent one, which must solve to the same
+answer at any size.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from mintplan import StandardFormProblem
 from mintplan.mip import Row, VariableIndex
+from mintplan.model import PROCESSES
 
 FEAS_TOL = 1e-7
 
@@ -216,3 +218,27 @@ def floors_as_bounds(problem: StandardFormProblem) -> StandardFormProblem:
         else:
             rows.append(row)
     return replace(problem, rows=tuple(rows), lower=tuple(lower))
+
+
+def scale_rows(problem: StandardFormProblem, rng: np.random.Generator) -> StandardFormProblem:
+    """The model with each row, coefficients and right-hand side, times a
+    power of two drawn from {0.25, 0.5, 2, 4}: exact in floating point."""
+    factors = rng.choice((0.25, 0.5, 2.0, 4.0), len(problem.rows))
+    rows = tuple(
+        replace(row, coeffs=tuple((col, coeff * f) for col, coeff in row.coeffs), rhs=row.rhs * f)
+        for row, f in zip(problem.rows, factors.tolist())
+    )
+    return replace(problem, rows=rows)
+
+
+def duplicate_capacity_rows(problem: StandardFormProblem) -> StandardFormProblem:
+    """The model with a copy of every process capacity row, 1.0 looser:
+    redundant rows the solver must see through."""
+    families = {f"{process}_capacity" for process in PROCESSES}
+    copies = tuple(
+        replace(row, label=f"loose_{row.label}", rhs=row.rhs + 1.0)
+        for row in problem.rows
+        if row.label.split("[")[0] in families
+    )
+    assert copies
+    return replace(problem, rows=problem.rows + copies)

@@ -411,6 +411,48 @@ def test_an_unrepairable_draw_gives_up_within_its_binaries(index):
     assert calls < 12  # the depth cap's count of re-solves
 
 
+FIRST_QUARTER_RESTRICTIONS = (
+    (),
+    ("force_base_striking",),
+    ("force_base_blanking",),
+    ("force_base_striking", "force_base_blanking"),
+    ("forbid_extra_striking",),
+)
+
+
+def test_integerize_returns_plans_its_model_accepts():
+    """``integerize`` returns a plan that passes ``check_solution`` on the
+    model it repaired, pinned first-quarter totals included, or raises
+    RepairInfeasibleError with the partial plan. Checked on 120 2x2
+    draws, plain and under the restrictions the refinements inject.
+    Draw 46 cannot rebuild its pinned coin total, so it raises, naming
+    the row."""
+    rng = np.random.default_rng(11)
+    checked = 0
+    for i in range(120):
+        scenario, config = random_instance(rng)
+        model = build(scenario, config)
+        for kinds in FIRST_QUARTER_RESTRICTIONS:
+            problem = restrict(model, tuple(InjectedConstraint(kind, 0) for kind in kinds))
+            sol = solve_mip(problem)
+            if sol.status != "optimal":
+                continue
+            try:
+                whole = integerize(problem, sol, scenario)
+            except RepairInfeasibleError as exc:
+                assert exc.partial_plan is not None, (i, kinds)
+                continue
+            assert check_solution(problem, assignment_from_solution(problem, whole)) == [], (i, kinds)
+            checked += 1
+    assert checked >= 300  # most optimal solves repair
+
+    scenario, config = draw(np.random.default_rng(11), 46)
+    problem = restrict(build(scenario, config), (InjectedConstraint("force_base_striking", 0),))
+    with pytest.raises(RepairInfeasibleError, match=r"force_base_striking\[0\]") as info:
+        integerize(problem, solve_mip(problem), scenario)
+    assert info.value.partial_plan is not None
+
+
 def test_infeasible_scenarios_report_cleanly():
     scenario = Scenario(
         horizon=1,
@@ -752,12 +794,14 @@ def test_a_k_reward_in_the_model_is_refused():
     """The model's objective is the bill, and the solver adds K's reward
     itself. A model whose objective rewards K, as ``build`` once wrote,
     would turn the bill pass into a search on ``bill - K``, so
-    ``solve_mip`` refuses it."""
+    ``solve_mip`` refuses it. It refuses a cost on an order too: the
+    bill pass would minimize it while the bill and the K passes ignore
+    it."""
     problem = build(*load_fixture("tiny.json"))
-    k_col = problem.column_index("K")
-    assert problem.objective[k_col] == 0.0
-    for reward in (-1.0, 1.0):
-        objective = tuple(reward if col == k_col else c for col, c in enumerate(problem.objective))
+    k_col, f_col = problem.column_index("K"), problem.column_index("f", 0, 0)
+    assert problem.objective[k_col] == problem.objective[f_col] == 0.0
+    for col_off_the_bill, cost in ((k_col, -1.0), (k_col, 1.0), (f_col, -100.0)):
+        objective = tuple(cost if col == col_off_the_bill else c for col, c in enumerate(problem.objective))
         with pytest.raises(ValueError, match="bill"):
             solve_mip(replace(problem, objective=objective))
 
@@ -822,11 +866,13 @@ def test_tree_search_agrees_with_highs():
 
 
 def test_equivalent_models_solve_to_the_same_answer():
-    """Metamorphic relations: a model with its rows permuted, and one
-    with its stock floors as bounds instead of rows, solve to the status,
-    bill and K of the model itself, on 3-quarter draws and on 5-quarter,
-    7-denomination draws past the enumeration's reach."""
-    from oracles import floors_as_bounds, permute_rows
+    """Metamorphic relations: a model with its rows permuted, one with
+    its stock floors as bounds instead of rows, one with each row scaled
+    by a power of two, and one with a looser copy of every capacity row
+    solve to the status, bill and K of the model itself, on 3-quarter
+    draws and on 5-quarter, 7-denomination draws past the enumeration's
+    reach."""
+    from oracles import duplicate_capacity_rows, floors_as_bounds, permute_rows, scale_rows
 
     rng = np.random.default_rng(12)
     cases = [(build(*random_instance(rng, horizon=3, n_denoms=3)), bnb.DEFAULT_NODE_CAP) for _ in range(20)]
@@ -839,6 +885,8 @@ def test_equivalent_models_solve_to_the_same_answer():
         for name, equivalent in (
             ("rows permuted", permute_rows(problem, np.random.default_rng(1000 + i))),
             ("floors as bounds", floors_as_bounds(problem)),
+            ("rows scaled", scale_rows(problem, np.random.default_rng(2000 + i))),
+            ("capacity rows duplicated", duplicate_capacity_rows(problem)),
         ):
             got = solve_mip(equivalent, node_cap=node_cap)
             assert got.status == want.status, (i, name)

@@ -403,6 +403,10 @@ def test_parse_lp_text_rejects_malformed_documents():
         older_text(tiny_text, "mintplan-lp v2").replace(" + -1.0 K\n", "\n"),
         older_text(tiny_text, "mintplan-lp v2").replace(" + -1.0 K\n", " + -1.0 K + -1.0 K\n"),
         tiny_text.replace(" a[1,2]\nsubject to\n", " a[1,2] + -1.0 K\nsubject to\n"),  # v3 puts nothing on K
+        # the bill prices shift levels only: a reward on an order would be
+        # minimized by the bill pass but priced by neither _bill nor the oracle
+        tiny_text.replace(" a[1,2]\nsubject to\n", " a[1,2] + -100.0 f[1,0]\nsubject to\n"),
+        older_text(tiny_text, "mintplan-lp v2").replace(" + -1.0 K\n", " + -1.0 K + 2.0 E[0,1]\n"),
         # a repeated label: the solver would obey both rows, level_capacity only the last
         tiny_text.replace("\nbounds\n", "\n  striking_capacity[0]: 1.0 f[0,0] + 1.0 f[0,1] <= 90.0\nbounds\n"),
         # a restriction row names one quarter
