@@ -6,7 +6,10 @@ subset of the binaries through bound overrides; branching picks the
 most fractional binary, breaking ties by process (striking, blanking,
 annealing), then earliest quarter, then lowest level. Because the
 heap always pops the smallest bound, the first integral node popped is
-optimal and the search can stop there.
+optimal and the search can stop there. Every column of the model has
+finite bounds (``StandardFormProblem`` demands it), so each node's LP
+is boxed: it has an optimum or is infeasible, and an infeasible node
+is pruned.
 
 The model's objective is the extra-shift bill, and the bill comes
 before K. This module alone rewards K: a K pass pins the bill with one
@@ -97,8 +100,6 @@ def _branch_and_bound(problem: StandardFormProblem, *, node_budget: list) -> np.
         return res.status, res.objective, res.x  # not the solver arrays the result carries
 
     status, objective, x = solve_node({})
-    if status == "unbounded":
-        raise MintPlanError("the relaxation is unbounded; every column should have finite bounds")
     if status != "optimal":
         return None
 

@@ -12,10 +12,12 @@ drives the artificials to zero (or proves infeasibility), phase 2
 optimizes the real objective. Bland's smallest-index rule picks both
 the entering and the leaving variable, which makes the iteration
 cycle-free at the price of speed; instances here are small enough that
-robustness wins. Variables move between a finite lower and a possibly
-infinite upper bound, and a step that only sends the entering variable
-to its opposite bound is taken as a bound flip without any basis
-change.
+robustness wins. Every LP is boxed: a structural column moves between
+finite bounds, which ``StandardFormProblem`` and ``solve_lp`` enforce,
+and only the slacks and artificials are unbounded above. So the LP is
+either infeasible or has an optimum, and there is no "unbounded"
+status. A step that only sends the entering variable to its opposite
+bound is taken as a bound flip without any basis change.
 
 A warm solve (``warm_start=``) takes the basis and basis inverse that a
 result of the same problem object carries; any other warm start solves
@@ -25,18 +27,18 @@ the starting slack/artificial basis with every artificial boxed at
 [0, 0]. The reduced costs do not depend on the bounds, so putting each
 nonbasic column at the bound its reduced cost prefers gives a
 dual-feasible start (from the slack basis the reduced costs are the
-costs themselves, and every mintplan objective prefers finite bounds),
-and a bounded dual simplex pivots back to primal feasibility: the most
+costs themselves, and every structural bound is finite), and a bounded
+dual simplex pivots back to primal feasibility: the most
 violated basic value leaves, the dual ratio test picks the entering
 column, and a row with no entering candidate proves the LP infeasible.
 That proof keeps the basis dual feasible, so the next solve restarts
 from it. After a dual pivot the primal phase-2 pass confirms
 optimality; a start that was already primal feasible skips it, since
 with every column at its preferred bound no column can enter. Any
-trouble falls back to the cold solve: a preferred bound that is
-infinite, a singular refactorization, a stall past the iteration
-budget, an infeasibility too slim to prove with margin over the cold
-phase-1 tolerance, or a final point off its rows.
+trouble falls back to the cold solve: a start that would put a slack
+at its infinite upper side, a singular refactorization, a stall past
+the iteration budget, an infeasibility too slim to prove with margin
+over the cold phase-1 tolerance, or a final point off its rows.
 
 A warm solve pays for its bounds change and little else. The reduced
 costs travel with the basis: a tableau prices them once and keeps them
@@ -44,14 +46,12 @@ until a pivot or an inversion changes its basis inverse, and a restart
 takes over those of the result it starts from. So do the bound sides
 they prefer: a restart source derives each column's side, and the
 status that puts it there, once; every restart from it copies them and
-moves only a tied column whose side the new bounds make infinite, and a
-restart that moves none hands them on to its own result until a pivot,
-an inversion or a primal pass moves a column. The row tolerances, the
-objective and the sign-split matrix of the bound-box screen are kept
-with the assembly, once per problem, and so are the model's own columns
-that fail a bounds check (unbounded in both directions, or a lower bound
-past the upper or NaN beside a finite one): a bounds override is checked
-on its own entries only.
+hands them on to its own result until a pivot, an inversion or a primal
+pass moves a column. The row tolerances, the objective and the
+sign-split matrix of the bound-box screen are kept with the assembly,
+once per problem, and so are the model's own columns whose lower bound
+is past the upper: a bounds override is checked on its own entries
+only.
 
 The structural matrix, right-hand sides, slack layout and bounds are
 assembled with numpy once per problem object: the last assembly is
@@ -109,7 +109,8 @@ class IterationCapExceeded(MintPlanError):
 class LpResult:
     """Outcome of one LP solve.
 
-    ``objective`` is NaN for infeasible and -inf for unbounded problems;
+    ``status`` is "optimal" or "infeasible" ("unsolved" for a
+    ``slack_start``), and ``objective`` is NaN unless it is optimal;
     ``x`` covers the problem's own columns (no slacks) and is None
     unless the status is optimal. ``basis`` lists the basic columns of
     an optimal result in the solver's internal indexing (structural
@@ -166,58 +167,46 @@ class _Assembly:
         self.row_tol = FEAS_TOL * scale  # what a final point may miss a row by
         self.box_margin = 10.0 * FEAS_TOL * scale  # what the bound-box screen needs
         self.equality = self.sense == 0.0
-        self.positive, self.negative = self.A > 0.0, self.A < 0.0
-        self.A_pos = np.where(self.positive, self.A, 0.0)
-        self.A_neg = np.where(self.negative, self.A, 0.0)
+        self.A_pos = np.where(self.A > 0.0, self.A, 0.0)
+        self.A_neg = np.where(self.A < 0.0, self.A, 0.0)
         # the tableau's matrix but for the artificial columns, whose signs
         # depend on the bounds
         self.A_start = np.zeros((m, self.n_total))
         self.A_start[:, :n] = self.A
         self.A_start[self.slack_rows, n + np.arange(len(self.slack_rows))] = self.sense[self.slack_rows]
-        # the model's own columns that fail a bounds check, checked once
+        # the model's own columns whose bounds cross, checked once
         self.columns = range(n)
-        self.free = frozenset(np.flatnonzero(~np.isfinite(self.lower) & ~np.isfinite(self.upper)).tolist())
-        self.crossed = frozenset(np.flatnonzero(~(self.lower <= self.upper + 1e-12)).tolist())
+        self.crossed = frozenset(np.flatnonzero(self.lower > self.upper + 1e-12).tolist())
 
-    def bounds(self, bounds_override: dict | None) -> tuple[np.ndarray, np.ndarray, str | None]:
+    def bounds(self, bounds_override: dict | None) -> tuple[np.ndarray, np.ndarray, bool]:
         """The structural bounds under ``bounds_override``, not to be
-        written to, and what is wrong with them: "free" when a column is
-        unbounded in both directions, else "crossed" when a lower bound
-        exceeds its upper by more than 1e-12 or is NaN beside a finite
-        upper (or the reverse), else None. Only the overridden columns
-        are checked here; the model's own were checked at assembly."""
+        written to, and whether a lower bound exceeds its upper by more
+        than 1e-12. A non-finite override entry raises MintPlanError.
+        Only the overridden columns are checked here; the model's own
+        were checked at assembly."""
         if not bounds_override:
-            return self.lower, self.upper, "free" if self.free else "crossed" if self.crossed else None
+            return self.lower, self.upper, bool(self.crossed)
         lower, upper = self.lower.copy(), self.upper.copy()
-        free, crossed = set(self.free), set(self.crossed)
+        crossed = set(self.crossed)
         for col, (lo, hi) in bounds_override.items():
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise MintPlanError(f"bounds override ({lo}, {hi}) of column {col} is not finite")
             lower[col] = lo
             upper[col] = hi
             col = self.columns[col]  # a negative index names the column it wrote to
-            lo, hi = lower.item(col), upper.item(col)
-            if math.isfinite(lo) or math.isfinite(hi):
-                free.discard(col)
-            else:
-                free.add(col)
-            if not lo <= hi + 1e-12:  # a NaN beside a finite bound too
+            if lo > hi + 1e-12:
                 crossed.add(col)
             else:
                 crossed.discard(col)
-        return lower, upper, "free" if free else "crossed" if crossed else None
+        return lower, upper, bool(crossed)
 
     def box_misses_a_row(self, lower: np.ndarray, upper: np.ndarray) -> bool:
         """Whether some row cannot be met anywhere in the bound box: its
         activity range over the box misses the right-hand side by more
         than ``10 * FEAS_TOL * max(1, |rhs|)``, well past what cold phase 1
-        tolerates. An infinite bound makes its side of the range infinite
-        wherever its column has a nonzero coefficient, and nowhere else."""
-        positive, negative, A_pos, A_neg = self.positive, self.negative, self.A_pos, self.A_neg
-        lo_inf, hi_inf = np.isinf(lower), np.isinf(upper)
-        lo, hi = np.where(lo_inf, 0.0, lower), np.where(hi_inf, 0.0, upper)
-        least = A_pos @ lo + A_neg @ hi
-        most = A_pos @ hi + A_neg @ lo
-        least[positive @ lo_inf | negative @ hi_inf] = -np.inf
-        most[positive @ hi_inf | negative @ lo_inf] = np.inf
+        tolerates."""
+        least = self.A_pos @ lower + self.A_neg @ upper
+        most = self.A_pos @ upper + self.A_neg @ lower
         too_low = (self.sense <= 0.0) & (most < self.b - self.box_margin)  # ">=" and "=" rows
         too_high = (self.sense >= 0.0) & (least > self.b + self.box_margin)  # "<=" and "=" rows
         return bool(np.any(too_low | too_high))
@@ -251,12 +240,8 @@ class _Tableau:
         self.l = np.concatenate([lower, np.zeros(n_slack), np.zeros(m)])
         self.u = np.concatenate([upper, np.full(n_slack, np.inf), np.full(m, np.inf)])
         self.x = np.zeros(ntot)
-        finite_lower = np.isfinite(lower)
-        near_upper = ~finite_lower & np.isfinite(upper)
-        self.x[:n][finite_lower] = lower[finite_lower]
-        self.x[:n][near_upper] = np.minimum(upper[near_upper], 0.0)
+        self.x[:n] = lower
         self.status = np.full(ntot, _AT_LOWER, dtype=np.int8)
-        self.status[:n][near_upper] = _AT_UPPER
 
         # residuals with every structural column at its starting bound
         residual = b - A[:, :n] @ self.x[:n]
@@ -304,52 +289,36 @@ class _Tableau:
 
     def restart_sides(self) -> tuple[np.ndarray, ...]:
         """What a restart from this tableau starts from, as ``(reduced,
-        up_ties, down_ties, at_upper, status)``: the phase-2 reduced costs,
-        the bound side each column's reduced cost prefers (``at_upper``; a
-        tie keeps its side), the status that puts every nonbasic column
-        there, and the nonbasic ties on each side, the only columns a new
-        bound can move. Derived on first use and kept until a pivot, an
-        inversion or a primal pass moves a column; callers must not write
-        to it."""
+        at_upper, status)``: the phase-2 reduced costs, the bound side each
+        column's reduced cost prefers (``at_upper``; a tie keeps its side),
+        and the status that puts every nonbasic column there. Derived on
+        first use and kept until a pivot, an inversion or a primal pass
+        moves a column; callers must not write to it."""
         if self._sides is None:
             reduced = self.reduced_costs()
-            tie = np.abs(reduced) <= DUAL_TOL
-            at_upper = np.where(tie, self.status == _AT_UPPER, reduced < 0.0)
+            at_upper = np.where(np.abs(reduced) <= DUAL_TOL, self.status == _AT_UPPER, reduced < 0.0)
             status = np.where(at_upper, _AT_UPPER, _AT_LOWER).astype(np.int8)
             status[self.basis] = _BASIC
-            tie &= status != _BASIC
-            self._sides = (reduced, np.flatnonzero(tie & at_upper), np.flatnonzero(tie & ~at_upper), at_upper, status)
+            self._sides = (reduced, at_upper, status)
         return self._sides
 
     def restarted(self, lower: np.ndarray, upper: np.ndarray) -> _Tableau | None:
         """A copy at this tableau's basis under new structural bounds,
         with every nonbasic column at the bound its phase-2 reduced cost
-        prefers (ties keep their side unless it is infinite, so no column
-        is eligible to enter at the start). None when a preferred bound
-        is infinite, so the start is not dual feasible. The copy shares
-        the problem's arrays and takes over this tableau's reduced costs,
-        which do not depend on the bounds, and its sides when no tie
-        moved."""
+        prefers (ties keep their side, so no column is eligible to enter
+        at the start). None when a preferred bound is infinite, which only
+        a slack's upper side can be, so the start is not dual feasible.
+        The copy shares the problem's arrays and takes over this tableau's
+        reduced costs and sides, which do not depend on the bounds."""
         n = self.n_struct
-        sides = reduced, up_ties, down_ties, at_upper, status = self.restart_sides()
+        sides = reduced, at_upper, status = self.restart_sides()
         new = _Tableau.__new__(_Tableau)
         new.asm, new.n_struct, new.A, new.b, new.art_cols = self.asm, n, self.A, self.b, self.art_cols
         new.need_phase1, new.iterations = False, 0
         new.l = np.concatenate((lower, self.l[n:]))
         new.u = np.concatenate((upper, self.u[n:]))
         new.basis, new.B_inv = self.basis.copy(), self.B_inv.copy()
-        new._pivots, new._reduced = self._pivots, reduced
-        if np.isfinite(new.u[up_ties]).all() and np.isfinite(new.l[down_ties]).all():
-            new._sides, new.status = sides, status.copy()
-        else:
-            # a tie whose side is now infinite takes the other side
-            ties = np.concatenate((up_ties, down_ties))
-            at_upper = at_upper.copy()
-            at_upper[ties[~np.isfinite(new.l[ties])]] = True
-            at_upper[ties[~np.isfinite(new.u[ties])]] = False
-            new._sides = None
-            new.status = np.where(at_upper, _AT_UPPER, _AT_LOWER).astype(np.int8)
-            new.status[new.basis] = _BASIC
+        new._pivots, new._reduced, new._sides, new.status = self._pivots, reduced, sides, status.copy()
         new.x = np.where(at_upper, new.u, new.l)
         new.x[new.basis] = 0.0
         if not np.isfinite(new.x).all():
@@ -381,8 +350,10 @@ class _Tableau:
         self._pivots += 1
         self._reduced = self._sides = None
 
-    def iterate(self, c: np.ndarray, cap: int) -> str:
-        """Run simplex on objective ``c`` until optimal or unbounded.
+    def iterate(self, c: np.ndarray, cap: int) -> None:
+        """Run simplex on objective ``c`` until optimal. An entering
+        column that nothing blocks raises MintPlanError: over boxed
+        structural columns no objective decreases without bound.
 
         The basic values, bounds and costs live in arrays ordered like
         the basis for the length of the loop; ``self.x`` gets the basic
@@ -405,7 +376,7 @@ class _Tableau:
             if not eligible[q]:
                 self.iterations -= 1  # this pass only confirmed optimality
                 self._refactor()
-                return "optimal"
+                return
             direction = float(side[q])
             dq = self.B_inv @ A[:, q]
             eta = -direction * dq  # basic values move by t * eta
@@ -420,16 +391,12 @@ class _Tableau:
 
             if t_flip <= min_ratio:
                 if not math.isfinite(t_flip):
-                    x[basis] = xB
-                    return "unbounded"
+                    raise MintPlanError("the simplex found an unblocked ray over boxed columns")
                 xB += t_flip * eta
                 x[q] = u[q] if direction > 0 else l[q]
                 status[q] = _AT_UPPER if direction > 0 else _AT_LOWER
                 side[q] = -direction
                 continue
-            if not math.isfinite(min_ratio):
-                x[basis] = xB
-                return "unbounded"
 
             blocking = (ratios <= min_ratio + 1e-12).nonzero()[0]
             leave_pos = int(blocking[basis[blocking].argmin()])  # Bland again
@@ -564,8 +531,7 @@ def slack_start(problem: StandardFormProblem) -> LpResult:
     """A result to pass as ``warm_start`` to a first solve of ``problem``,
     which then runs the dual simplex from the starting slack/artificial
     basis with every artificial boxed at [0, 0]. Its duals are zero, so
-    each nonbasic column sits at the bound its own cost prefers; when
-    such a bound is infinite the solve falls back to cold."""
+    each nonbasic column sits at the bound its own cost prefers."""
     asm = _assembly(problem)
     tableau = _Tableau(asm, asm.lower, asm.upper)
     tableau.u[tableau.art_cols] = 0.0
@@ -610,16 +576,16 @@ def _reoptimize(start: _Tableau, lower: np.ndarray, upper: np.ndarray, cap: int)
         if status == "infeasible":
             # the basis stays dual feasible, so the next solve restarts from it
             return LpResult(status="infeasible", objective=math.nan, iterations=tableau.iterations, _tableau=tableau)
-        if status == "feasible" and tableau.iterations == 0:
-            # every column sits at the bound its reduced cost prefers, so
-            # the primal pass could only confirm: do what it does beyond pricing
-            if tableau._pivots:
+        if status == "feasible":
+            if tableau.iterations:
+                tableau.iterate(tableau.asm.cost, cap)
+            elif tableau._pivots:
+                # every column sits at the bound its reduced cost prefers, so
+                # the primal pass could only confirm: do what it does beyond pricing
                 tableau._refactor()
             return _optimal(tableau, lower, upper)
-        if status == "feasible" and tableau.iterate(tableau.asm.cost, cap) == "optimal":
-            return _optimal(tableau, lower, upper)
     except (MintPlanError, np.linalg.LinAlgError):
-        pass  # the iteration cap, a point off its rows, a singular basis
+        pass  # the iteration cap, an unblocked ray, a point off its rows, a singular basis
     return None
 
 
@@ -630,16 +596,11 @@ def _solve_cold(asm: _Assembly, lower: np.ndarray, upper: np.ndarray, cap: int) 
     if tableau.need_phase1:
         c1 = np.zeros(asm.n_total)
         c1[tableau.art_cols] = 1.0
-        status = tableau.iterate(c1, cap)
-        if status != "optimal":  # a sum of nonnegatives cannot be unbounded
-            raise MintPlanError("phase 1 reported unbounded; the model is corrupt")
+        tableau.iterate(c1, cap)
         if float(tableau.x[tableau.art_cols].sum()) > FEAS_TOL:
             return LpResult(status="infeasible", objective=math.nan)
         tableau.drive_out_artificials()
-
-    status = tableau.iterate(asm.cost, cap)
-    if status == "unbounded":
-        return LpResult(status="unbounded", objective=-math.inf)
+    tableau.iterate(asm.cost, cap)
     return _optimal(tableau, lower, upper)
 
 
@@ -654,11 +615,12 @@ def solve_lp(
 
     Binary markers are ignored, so binaries range over their [0, 1]
     bounds. ``bounds_override`` maps column index to a (lower, upper)
-    pair and is how branch-and-bound fixes binaries. A column left
-    unbounded in both directions (a NaN bound counts as infinite) raises
-    MintPlanError, and a lower bound above its upper by more than 1e-12,
-    or a NaN bound beside a finite one, makes the LP infeasible, whether
-    the model or the override sets them; the checks read the override's
+    pair and is how branch-and-bound fixes binaries. Every bound is
+    finite, as the problem type demands of the model's own; a non-finite
+    override entry raises MintPlanError. So the LP is boxed and the
+    result is "optimal" or "infeasible", never unbounded. A lower bound
+    above its upper by more than 1e-12 makes the LP infeasible, whether
+    the model or the override sets it; the checks read the override's
     entries and nothing more of the model's columns than the assembly
     recorded. ``warm_start``, a result of this problem object that
     ``can_warm_start`` (an optimal or dual-proven infeasible one under
@@ -672,10 +634,8 @@ def solve_lp(
     cap = iteration_cap if iteration_cap is not None else 50 * (len(problem.rows) + len(problem.columns))
     start = _start_from(problem, warm_start)
     asm = start.asm if start is not None else _assembly(problem)
-    lower, upper, trouble = asm.bounds(bounds_override)
-    if trouble == "free":
-        raise MintPlanError("columns unbounded in both directions are not supported")
-    if trouble == "crossed":
+    lower, upper, crossed = asm.bounds(bounds_override)
+    if crossed:
         return LpResult(status="infeasible", objective=math.nan)
     if start is not None:
         result = _reoptimize(start, lower, upper, cap)

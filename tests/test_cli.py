@@ -12,10 +12,12 @@ from mintplan import (
     MintConfig,
     SimulationSettings,
     build,
+    dump_scenario,
     dump_simulation,
     export_lp_text,
     load_scenario,
     parse_lp_text,
+    random_instance,
 )
 from mintplan import cli
 from mintplan.cli import main
@@ -67,6 +69,15 @@ def test_solve_infeasible_exits_one(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["solve", str(path)]) == 1
     assert "no feasible plan" in capsys.readouterr().err
+
+
+def test_solve_exits_one_when_no_integral_plan_exists(tmp_path, capsys):
+    """Draw 0 of ``random_instance(default_rng(4242))`` has a relaxed
+    optimum whose stock floors no escalation repairs."""
+    path = tmp_path / "draw0.json"
+    path.write_text(dump_scenario(*random_instance(np.random.default_rng(4242))))
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == "no integral plan: could not repair stock floors within the available capacity\n"
 
 
 def test_solve_rejects_a_non_finite_granularity(tiny_path, capsys):
@@ -145,6 +156,15 @@ def test_simulate_from_file(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0].startswith("quarter,horizon,order_penny,")
     assert len(lines) == 3
+
+
+def test_simulate_override_flags_reach_the_settings(tmp_path):
+    dumped = tmp_path / "sim.json"
+    argv = ["simulate", "--synthetic", "0", "--no-proc1", "--heuristic-order", "proc1-first"]
+    assert main(argv + ["--dump-input", str(dumped), "--csv", str(tmp_path / "report.csv")]) == 0
+    settings = json.loads(dumped.read_text())["settings"]
+    assert settings["use_proc1"] is False and settings["use_proc2"] is True
+    assert settings["heuristic_order"] == "proc1-first"
 
 
 def test_simulate_needs_exactly_one_source(tmp_path, capsys):

@@ -49,7 +49,7 @@ def test_two_variable_corner():
         Row("r[0]", ((0, 1.0), (1, 1.0)), "<=", 4.0),
         Row("r[1]", ((1, 1.0),), "<=", 3.0),
     ]
-    res = solve_lp(small_lp([-1.0, -2.0], rows, [0.0, 0.0], [math.inf, math.inf]))
+    res = solve_lp(small_lp([-1.0, -2.0], rows, [0.0, 0.0], [10.0, 10.0]))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-7.0, abs=1e-9)
     assert res.x[0] == pytest.approx(1.0, abs=1e-8)
@@ -64,7 +64,7 @@ def test_equality_row_requires_phase1():
     assert res.x[0] == pytest.approx(6.0, abs=1e-8)
 
 
-def test_infeasible_and_unbounded_detection():
+def test_infeasible_detection():
     rows = [
         Row("r[0]", ((0, 1.0),), ">=", 5.0),
         Row("r[1]", ((0, 1.0),), "<=", 2.0),
@@ -73,10 +73,6 @@ def test_infeasible_and_unbounded_detection():
     assert res.status == "infeasible"
     assert math.isnan(res.objective)
     assert res.x is None
-
-    res = solve_lp(small_lp([-1.0], [], [0.0], [math.inf]))
-    assert res.status == "unbounded"
-    assert res.objective == -math.inf
 
 
 def test_conflicting_bounds_are_infeasible():
@@ -90,12 +86,24 @@ def test_negative_lower_bounds():
     assert res.objective == pytest.approx(-1.5, abs=1e-9)
 
 
-def test_free_columns_are_rejected():
-    with pytest.raises(MintPlanError, match="unbounded in both directions"):
-        solve_lp(small_lp([1.0], [], [-math.inf], [math.inf]))
-
-
 INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [
+        ([-INF, 0], [INF, 5]),  # free both ways
+        ([0, 0], [INF, 5]),  # open above
+        ([0, -INF], [5, 0]),  # open below
+        ([NAN, 0], [3, 5]),  # as a "nan <= f[0,0] <= 3" line would give
+        ([0, 0], [5, NAN]),
+    ],
+)
+def test_the_problem_type_refuses_a_non_finite_bound(lower, upper):
+    """Every LP the solver sees is boxed: the model must give every column
+    finite bounds."""
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        small_lp([-1.0, -2.0], [Row("r[0]", ((0, 1.0), (1, 1.0)), "<=", 4.0)], lower, upper)
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -104,33 +112,29 @@ INF, NAN = math.inf, math.nan
     [
         ([0, 0], [5, 5], {0: (-INF, INF)}, "raises"),  # frees a column both ways
         ([0, 0], [5, 5], {-2: (-INF, INF)}, "raises"),  # the same column by a negative index
+        ([0, 0], [5, 5], {0: (0.0, INF)}, "raises"),  # opens one side
+        ([0, 0], [5, 5], {-1: (-INF, 5.0)}, "raises"),
         ([0, 0], [5, 5], {0: (NAN, NAN)}, "raises"),
         ([0, 0], [5, 5], {0: (NAN, INF)}, "raises"),
-        ([0, 0], [5, 5], {0: (NAN, 3.0)}, "infeasible"),  # a NaN beside a finite bound is crossed
-        ([0, 0], [5, 5], {0: (3.0, NAN)}, "infeasible"),
-        ([NAN, 0], [3, 5], {}, "infeasible"),  # as a parsed "nan <= f[0,0] <= 3" gives
-        ([NAN, 0], [3, 5], {1: (0.0, 5.0)}, "infeasible"),
-        ([NAN, 0], [3, 5], {0: (0.0, 3.0)}, -8.0),
+        ([0, 0], [5, 5], {0: (NAN, 3.0)}, "raises"),  # a NaN beside a finite bound
+        ([0, 0], [5, 5], {0: (3.0, NAN)}, "raises"),
         ([0, 0], [5, 5], {0: (2.0, 1.0)}, "infeasible"),
         ([0, 0], [5, 5], {0: (1.0 + 2e-12, 1.0)}, "infeasible"),
         ([0, 0], [5, 5], {-1: (2.0, 1.0)}, "infeasible"),
         ([0, 0], [5, 5], {0: (1.0 + 5e-13, 1.0)}, -7.0),  # crossed within 1e-12
         ([3, 0], [2, 5], {0: (1.0, 2.0)}, -7.0),  # a crossed model column boxed again
         ([3, 0], [2, 5], {1: (1.0, 2.0)}, "infeasible"),  # ... or left crossed
-        ([-INF, 0], [INF, 5], {0: (0.0, 3.0)}, -8.0),  # a free model column boxed
-        ([-INF, 0], [INF, 5], {1: (0.0, 3.0)}, "raises"),  # ... or left free
-        ([0, -INF], [5, INF], {-1: (0.0, 1.0)}, -5.0),
-        ([3, 0], [2, 5], {1: (-INF, INF)}, "raises"),  # a free column outranks a crossed one
+        ([3, 0], [2, 5], {1: (-INF, INF)}, "raises"),  # a non-finite entry outranks a crossed column
     ],
 )
 def test_bounds_checks_read_the_model_and_the_override(lower, upper, override, want, warm):
-    """Unbounded-both-ways columns raise and crossed bounds are infeasible,
-    whether the model or the override makes them so, and an override
-    that boxes a bad model column again clears it."""
+    """A non-finite override entry raises, and crossed bounds are
+    infeasible, whether the model or the override makes them so; an
+    override that boxes a crossed model column again clears it."""
     problem = small_lp([-1.0, -2.0], [Row("r[0]", ((0, 1.0), (1, 1.0)), "<=", 4.0)], lower, upper)
     start = lpsolve.slack_start(problem) if warm else None
     if want == "raises":
-        with pytest.raises(MintPlanError, match="unbounded in both directions"):
+        with pytest.raises(MintPlanError, match="is not finite"):
             solve_lp(problem, bounds_override=override, warm_start=start)
         return
     res = solve_lp(problem, bounds_override=override, warm_start=start)
@@ -191,9 +195,9 @@ def test_result_point_satisfies_all_rows():
 
 
 def test_agrees_with_vertex_oracle_on_random_lps():
-    """Dense random LPs, including infeasible and unbounded draws."""
+    """Dense random LPs, including infeasible draws."""
     rng = np.random.default_rng(123)
-    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    statuses = {"optimal": 0, "infeasible": 0}
     for _ in range(120):
         problem = random_lp(rng)
         want_status, want_objective = lp_oracle(problem)
@@ -202,7 +206,7 @@ def test_agrees_with_vertex_oracle_on_random_lps():
         if want_status == "optimal":
             assert got.objective == pytest.approx(want_objective, abs=1e-7, rel=1e-7)
         statuses[want_status] += 1
-    # the draw must actually exercise all three outcomes
+    # the draw must actually exercise both outcomes
     assert min(statuses.values()) >= 5
 
 
@@ -280,16 +284,21 @@ def test_singular_refactorization_in_a_warm_start_falls_back_to_cold(monkeypatch
     assert same_result(warm, solve_lp(problem, bounds_override=fixed))
 
 
-def test_dual_infeasible_start_falls_back_to_cold():
+def test_every_start_of_a_boxed_lp_is_dual_feasible(monkeypatch):
     # with y pinned at 0 the optimum leaves y nonbasic with reduced cost
-    # -1; freed, y prefers its infinite upper bound
+    # -1; freed, y prefers its upper bound, which is finite, and so does
+    # every column of the slack start: both restart with no cold solve
     rows = [Row("r[0]", ((0, 1.0), (1, 1.0)), "<=", 4.0)]
-    problem = small_lp([-1.0, -2.0], rows, [0.0, 0.0], [10.0, math.inf])
+    problem = small_lp([-1.0, -2.0], rows, [0.0, 0.0], [10.0, 10.0])
+    cold = solve_lp(problem)
     pinned = solve_lp(problem, bounds_override={1: (0.0, 0.0)})
     assert pinned.status == "optimal"
-    warm = solve_lp(problem, warm_start=pinned)
-    assert same_result(warm, solve_lp(problem))
-    assert warm.objective == pytest.approx(-8.0, abs=1e-12)
+    monkeypatch.setattr(lpsolve, "_solve_cold", lambda *args: pytest.fail("fell back to a cold solve"))
+    for start in (pinned, lpsolve.slack_start(problem)):
+        warm = solve_lp(problem, warm_start=start)
+        assert warm.status == "optimal" and warm.iterations > 0
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+    assert cold.objective == pytest.approx(-8.0, abs=1e-12)
 
 
 def test_dual_ratio_test_proves_infeasibility(monkeypatch):
@@ -449,20 +458,19 @@ def same_sides(a: tuple, b: tuple) -> bool:
 def test_restarts_from_one_source_match_restarts_from_fresh_copies():
     """A source derives its sides once; every later restart from it, and
     from copies that took them over, starts as a restart from a copy of
-    the source with nothing kept. Two free columns with zero cost tie:
-    the optimum leaves z at its upper bound and w at its lower, so boxes
-    that make those bounds infinite send them to the other side, and the
-    restart derives its own sides."""
+    the source with nothing kept. Two columns with zero cost tie: the
+    optimum leaves both at their lower bounds, and they keep that side
+    in whatever box a restart gives them."""
     rows = [Row("r[0]", ((0, 1.0), (1, 1.0)), "<=", 4.0)]
-    problem = small_lp([-1.0, -2.0, 0.0, 0.0], rows, [0.0, 0.0, -INF, 0.0], [10.0, 10.0, 5.0, 5.0])
+    problem = small_lp([-1.0, -2.0, 0.0, 0.0], rows, [0.0] * 4, [10.0, 10.0, 5.0, 5.0])
     source = solve_lp(problem)
-    assert source.status == "optimal" and source._tableau.status.tolist()[2:4] == [lpsolve._AT_UPPER, lpsolve._AT_LOWER]
+    assert source.status == "optimal" and source._tableau.status.tolist()[2:4] == [lpsolve._AT_LOWER] * 2
     overrides = [
-        {2: (0.0, INF), 3: (-INF, 5.0)},  # each tie's side goes infinite
+        {2: (1.0, 3.0), 3: (2.0, 4.0)},  # each tie's box moves
         {0: (1.0, 1.0)},
         {1: (0.0, 2.0)},
         {0: (1.0, 1.0)},
-        {2: (0.0, INF), 3: (-INF, 5.0)},
+        {2: (1.0, 3.0), 3: (2.0, 4.0)},
     ]
 
     def fresh_copy(result):
@@ -482,7 +490,7 @@ def test_restarts_from_one_source_match_restarts_from_fresh_copies():
             if got._tableau._sides is not None:
                 assert same_sides(got._tableau._sides, fresh_sides(got._tableau))
         moved = solve_lp(problem, bounds_override=overrides[0], warm_start=start)
-        assert moved.x[2] == 0.0 and moved.x[3] == 5.0
+        assert moved.x[2] == 1.0 and moved.x[3] == 2.0
 
 
 def test_cached_sides_match_a_fresh_derivation(monkeypatch):
@@ -570,14 +578,35 @@ def test_a_warm_solve_without_a_pivot_runs_no_primal_pass(monkeypatch):
     assert unpivoted > pivoted > 0
 
 
-def test_slack_start_that_is_not_dual_feasible_falls_back_to_cold():
-    # y has cost -2 and an infinite upper bound, which it would prefer
+def test_a_start_that_sends_a_slack_to_its_infinite_side_falls_back_to_cold(monkeypatch):
+    # only a slack or an artificial has an infinite bound, and no result
+    # that can warm start prefers it; a start that put one there would
+    # not be dual feasible, so the solve falls back to cold
     rows = [Row("r[0]", ((0, 1.0), (1, 1.0)), "<=", 4.0)]
-    problem = small_lp([-1.0, -2.0], rows, [0.0, 0.0], [10.0, math.inf])
+    problem = small_lp([-1.0, -2.0], rows, [0.0, 0.0], [10.0, 10.0])
     start = lpsolve.slack_start(problem)
     assert start.status == "unsolved" and start.can_warm_start
-    warm = solve_lp(problem, warm_start=start)
-    assert same_result(warm, solve_lp(problem))
+    pinned = solve_lp(problem, bounds_override={1: (0.0, 0.0)})
+    assert 2 not in pinned.basis  # r[0]'s slack
+    restart_sides = lpsolve._Tableau.restart_sides
+
+    def slack_at_upper(self):
+        reduced, at_upper, status = restart_sides(self)
+        at_upper = at_upper.copy()
+        at_upper[2] = True
+        return reduced, at_upper, status
+
+    monkeypatch.setattr(lpsolve._Tableau, "restart_sides", slack_at_upper)
+    colds = []
+    solve_cold = lpsolve._solve_cold
+
+    def counted_cold(*args):
+        colds.append(solve_cold(*args))
+        return colds[-1]
+
+    monkeypatch.setattr(lpsolve, "_solve_cold", counted_cold)
+    warm = solve_lp(problem, warm_start=pinned)
+    assert len(colds) == 1 and warm is colds[0]
     assert warm.objective == pytest.approx(-8.0, abs=1e-12)
 
 
@@ -678,26 +707,3 @@ def test_box_screen_reads_the_bounds_override(monkeypatch):
     screened = solve_lp(problem, bounds_override=pinned)
     assert answers == [False, True]
     assert same_result(screened, unscreened(monkeypatch, problem, bounds_override=pinned))
-
-
-def test_box_screen_handles_infinite_bounds(monkeypatch):
-    # z in [0, inf) and w in (-inf, 0] make r[0] and r[1] reachable; r[2]
-    # has neither, and a 0 * inf turned NaN must not hide its miss
-    lower, upper = [0.0, 0.0, 0.0, -math.inf], [1.0, 2.0, math.inf, 0.0]
-    reachable = [
-        Row("r[0]", ((0, 1.0), (2, 1.0)), ">=", 5.0),
-        Row("r[1]", ((0, 1.0), (3, -1.0)), ">=", 5.0),
-    ]
-    problem = small_lp([0.0, 0.0, 1.0, -1.0], reachable, lower, upper)
-    answers = screen_spy(monkeypatch)
-    res = solve_lp(problem)
-    assert answers == [False]
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(8.0, abs=1e-9)  # x = 1, z = 4, w = -4
-
-    missed = Row("r[2]", ((0, 1.0), (1, 1.0)), ">=", 5.0)
-    problem = small_lp([0.0, 0.0, 1.0, -1.0], reachable + [missed], lower, upper)
-    with np.errstate(invalid="raise"):
-        screened = solve_lp(problem)
-    assert answers == [False, True]
-    assert same_result(screened, unscreened(monkeypatch, problem))

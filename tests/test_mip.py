@@ -253,6 +253,23 @@ def test_restricting_twice_is_restricting_once_by_both():
         restrict(model, (InjectedConstraint("force_base_striking", 2),))
 
 
+@pytest.mark.parametrize("kind", ["force_base_striking", "forbid_extra_striking"])
+def test_a_repeated_restriction_is_refused(kind):
+    """A restriction already on the model, or given twice in one call,
+    raises. Accepted, a second force row would repeat its label, which
+    the LP text refuses, and a second forbid would list the restriction
+    twice in ``injected``, where the parsed copy lists it once."""
+    model = build(*tiny())
+    restriction = InjectedConstraint(kind, 0)
+    once = restrict(model, (restriction,))
+    assert once.injected == (restriction,)
+    assert parse_lp_text(export_lp_text(once)).injected == once.injected
+    with pytest.raises(ValueError, match=rf"restriction {kind}\[0\] is already on the model"):
+        restrict(once, (restriction,))
+    with pytest.raises(ValueError, match=rf"restriction {kind}\[0\] is already on the model"):
+        restrict(model, (restriction, restriction))
+
+
 def test_force_rows_copy_the_capacity_rows_of_a_disrupted_quarter():
     """A force row holds its capacity row's order terms, at that row's
     right-hand side: the quarter's scaled base capacity."""
