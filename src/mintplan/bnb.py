@@ -64,6 +64,12 @@ class NodeCapExceeded(MintPlanError):
     """Branch-and-bound hit its node budget before finishing."""
 
 
+def _check_node_cap(node_cap) -> None:
+    """Raise ValueError unless ``node_cap`` is an integer >= 0 (not a bool)."""
+    if isinstance(node_cap, bool) or not isinstance(node_cap, int) or node_cap < 0:
+        raise ValueError(f"node_cap must be an integer >= 0, got {node_cap!r}")
+
+
 class RepairInfeasibleError(MintPlanError):
     """Greedy integerization could not restore all stock floors or a
     pinned first-quarter total.
@@ -202,8 +208,10 @@ def solve_mip(
     plan found there is the optimum, since no plan costs less.
     Otherwise, or when that tree is infeasible, the bill pass minimizes
     the model's objective and the K pass runs at its bill. All searches
-    draw on one budget of ``node_cap`` LPs.
+    draw on one budget of ``node_cap`` LPs, an integer >= 0 (ValueError
+    otherwise).
     """
+    _check_node_cap(node_cap)
     levels = set(problem.binaries)
     if any(cost != 0.0 for col, cost in enumerate(problem.objective) if col not in levels):
         raise ValueError("the model's objective is the bill of its level binaries; the solver adds K's reward itself")

@@ -115,8 +115,9 @@ class LpResult:
     unless the status is optimal. ``basis`` lists the basic columns of
     an optimal result in the solver's internal indexing (structural
     columns first, then one slack per inequality row, then one
-    artificial per row). ``iterations`` counts the iterations of phase 2
-    and of the dual simplex, not those of a cold phase 1.
+    artificial per row). ``iterations`` counts every simplex iteration
+    the solve ran, a cold phase 1 included; a cold solve that proves the
+    LP infeasible reports 0.
 
     A result whose basis is dual feasible carries the solver's arrays
     privately (``can_warm_start``): every optimal result, every

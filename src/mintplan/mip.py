@@ -29,11 +29,11 @@ bound the stocks.
 them off its rows: forcing the base capacity to be fully used appends
 that capacity row's order terms as an equality, and forbidding a
 process's extra levels zeroes that quarter's level-binary upper bounds.
+``StandardFormProblem.injected`` reads the restrictions back off the
+rows and bounds, so a model carries no separate list of them.
 ``level_capacity`` reads what a capacity row allows at a level.
 ``parse_lp_text`` reads the ``mintplan-lp v3`` text ``export_lp_text``
-writes, and the older v2 and v1 texts, whose objective rewards K at
-exactly -1.0 and whose K term it drops (v1 has a ``mode`` line too,
-which it ignores).
+writes.
 """
 
 from __future__ import annotations
@@ -74,8 +74,6 @@ _BINARY_KIND_BY_PROCESS = {"blanking": "c", "annealing": "h", "striking": "a"}
 _PROCESS_BY_KIND = {kind: process for process, kind in _BINARY_KIND_BY_PROCESS.items()}
 
 LP_HEADER = "mintplan-lp v3"
-_LP_HEADER_V2 = "mintplan-lp v2"  # v3 plus a -1.0 K term in the objective
-_LP_HEADER_V1 = "mintplan-lp v1"  # v2 plus a mode line second
 
 #: Default ceiling for the safety-stock multiplier.
 DEFAULT_K_MAX = 2.0
@@ -193,15 +191,12 @@ class StandardFormProblem:
 
     ``objective`` is the extra-shift bill: the level binaries' costs,
     and 0.0 on ``K``, whose reward ``bnb.solve_mip`` adds itself.
-    ``injected`` lists the restrictions ``restrict`` added: a
-    ``force_base_*`` one is the row of the same label, a
-    ``forbid_extra_*`` one the zero upper bounds of its quarter's level
-    binaries (nothing else gives a binary a zero upper bound). The
-    problem is the whole model: solving it needs no scenario or config,
-    so a parsed dump solves as the built model does. Every column's
-    bounds must be finite (ValueError otherwise), so every LP over the
-    model is boxed; a lower bound above its upper is allowed and makes
-    the model infeasible.
+    ``injected`` reads the model's restrictions off its rows and bounds.
+    The problem is the whole model: solving it needs no scenario or
+    config, so a parsed dump solves as the built model does. Every
+    column's bounds must be finite (ValueError otherwise), so every LP
+    over the model is boxed; a lower bound above its upper is allowed
+    and makes the model infeasible.
     """
 
     columns: tuple[VariableIndex, ...]
@@ -210,7 +205,6 @@ class StandardFormProblem:
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     binaries: tuple[int, ...]
-    injected: tuple[InjectedConstraint, ...] = ()
 
     def __post_init__(self):
         n = len(self.columns)
@@ -218,6 +212,27 @@ class StandardFormProblem:
             raise ValueError("objective and bounds must cover every column")
         if not (all(map(math.isfinite, self.lower)) and all(map(math.isfinite, self.upper))):
             raise ValueError("every column's bounds must be finite")
+
+    @cached_property
+    def injected(self) -> tuple[InjectedConstraint, ...]:
+        """The model's restrictions: each row labeled after a restriction
+        family, in row order, then one ``forbid_extra_*`` per quarter and
+        process whose level binaries all have upper bound 0, in column
+        order. Zero upper bounds on only part of a ladder are bounds and
+        no restriction."""
+        found = []
+        for row in self.rows:
+            family, _, quarter = row.label[:-1].partition("[")
+            if family in INJECTED_FAMILIES:
+                found.append(InjectedConstraint(kind=family, quarter=int(quarter)))
+        zeroed: dict[tuple[str, int], bool] = {}  # (kind, quarter) -> whole ladder at upper bound 0
+        for col in sorted(self.binaries):
+            key = (self.columns[col].kind, self.columns[col].quarter)
+            zeroed[key] = zeroed.get(key, True) and self.upper[col] == 0.0
+        for (kind, quarter), off in zeroed.items():
+            if off:
+                found.append(InjectedConstraint(kind=f"forbid_extra_{_PROCESS_BY_KIND[kind]}", quarter=quarter))
+        return tuple(found)
 
     @cached_property
     def _column_by_key(self) -> Mapping:
@@ -413,12 +428,12 @@ def restrict(problem: StandardFormProblem, injected: Sequence[InjectedConstraint
     A ``force_base_*`` restriction appends the order terms of its
     quarter's capacity row as an equality at that row's right-hand side,
     labeled after the restriction; a ``forbid_extra_*`` one zeroes the
-    upper bounds of its quarter's level binaries. Restrictions append to
-    ``injected`` in order, so ``restrict(restrict(m, a), b)`` equals
-    ``restrict(m, a + b)``. A restriction already on the model, or
-    given twice, raises ValueError.
+    upper bounds of its quarter's level binaries. Force rows append in
+    the order given, so ``restrict(restrict(m, a), b)`` equals
+    ``restrict(m, a + b)``; the result's ``injected`` lists them all in
+    the model's order. A restriction already on the model, or given
+    twice, raises ValueError.
     """
-    injected = tuple(injected)
     rows = list(problem.rows)
     upper = list(problem.upper)
     seen = {inj.label for inj in problem.injected}
@@ -436,7 +451,7 @@ def restrict(problem: StandardFormProblem, injected: Sequence[InjectedConstraint
         else:
             for level in range(1, problem.n_levels(inj.process) + 1):
                 upper[_level_column(problem, inj.process, q, level)] = 0.0
-    return replace(problem, rows=tuple(rows), upper=tuple(upper), injected=problem.injected + injected)
+    return replace(problem, rows=tuple(rows), upper=tuple(upper))
 
 
 def level_capacity(problem: StandardFormProblem, process: str, quarter: int, level: int) -> float:
@@ -575,30 +590,17 @@ def _parse_terms(text: str, column_of: dict) -> tuple[tuple[int, float], ...]:
 
 
 def parse_lp_text(text: str) -> StandardFormProblem:
-    """Inverse of ``export_lp_text``.
+    """Inverse of ``export_lp_text``: the document must start with the
+    ``mintplan-lp v3`` header.
 
-    The ``binary`` section must list every shift-level column once and
+    The objective must price shift levels and nothing else, the
+    ``binary`` section must list every shift-level column once and
     nothing else, and no two rows may share a label; any other document
-    raises ``LpFormatError``. A v3 objective prices shift levels and
-    nothing else. A v2 document is v3 whose objective also rewards K
-    with exactly one ``-1.0 K`` term, which is dropped; any other K term
-    raises. A v1 document is v2 with ``mode lexicographic`` or
-    ``mode combined`` second; that line is ignored.
-
-    ``injected`` is recovered from the model: first the restrictions
-    whose rows appear, in row order, then one ``forbid_extra_*`` per
-    quarter and process whose level binaries all have a zero upper
-    bound, in column order. So it holds the built model's restrictions,
-    though not necessarily in the order they were injected; zero upper
-    bounds on only part of a ladder are kept as bounds and recover no
-    restriction."""
+    raises ``LpFormatError``. The parsed model's ``injected`` is read
+    off its rows and bounds, as the exported model's is, so the round
+    trip gives back an equal problem."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    version = lines[0] if lines else ""
-    if version == _LP_HEADER_V1:
-        if lines[1:2] not in (["mode lexicographic"], ["mode combined"]):
-            raise LpFormatError(f"a {_LP_HEADER_V1!r} document needs a mode line second")
-        del lines[1]
-    elif version not in (LP_HEADER, _LP_HEADER_V2):
+    if lines[:1] != [LP_HEADER]:
         raise LpFormatError(f"missing or unsupported header; expected {LP_HEADER!r}")
 
     sections: dict[str, list[str]] = {"minimize": [], "subject to": [], "bounds": [], "binary": []}
@@ -639,21 +641,13 @@ def parse_lp_text(text: str) -> StandardFormProblem:
     if len(sections["minimize"]) != 1:
         raise LpFormatError("minimize section must hold exactly one line")
     objective = [0.0] * len(columns)
-    k_terms = []
     for col, coeff in _parse_terms(sections["minimize"][0], column_of):
-        if columns[col].kind == "K":
-            k_terms.append(coeff)
-        elif columns[col].kind in _PROCESS_BY_KIND:
-            objective[col] = coeff
-        else:
+        if columns[col].kind not in _PROCESS_BY_KIND:
             raise LpFormatError(f"the objective prices shift levels only, not {columns[col].name!r}")
-    if k_terms != ([] if version == LP_HEADER else [-1.0]):
-        want = "no K term" if version == LP_HEADER else "one -1.0 K term"
-        raise LpFormatError(f"a {version!r} objective needs {want}, got K terms {k_terms}")
+        objective[col] = coeff
 
     row_re = re.compile(r"^([A-Za-z_]+\[[0-9,]+\]): (.*) (<=|=|>=) (\S+)$")
     rows: list[Row] = []
-    injected: list[InjectedConstraint] = []
     labels: set[str] = set()
     for ln in sections["subject to"]:
         m = row_re.match(ln)
@@ -666,10 +660,8 @@ def parse_lp_text(text: str) -> StandardFormProblem:
         rhs = _lp_number(rhs_text, f"right-hand side in {ln!r}")
         rows.append(Row(label=label, coeffs=_parse_terms(body, column_of), relation=relation, rhs=rhs))
         family, _, quarter = label[:-1].partition("[")
-        if family in INJECTED_FAMILIES:
-            if not quarter.isdigit():
-                raise LpFormatError(f"restriction row {label!r} must name one quarter")
-            injected.append(InjectedConstraint(kind=family, quarter=int(quarter)))
+        if family in INJECTED_FAMILIES and not quarter.isdigit():
+            raise LpFormatError(f"restriction row {label!r} must name one quarter")
 
     binaries: set[int] = set()
     for ln in sections["binary"]:
@@ -683,12 +675,6 @@ def parse_lp_text(text: str) -> StandardFormProblem:
     for var in columns:
         if var.kind in _PROCESS_BY_KIND and var.column not in binaries:
             raise LpFormatError(f"binary section leaves out the shift level {var.name!r}")
-    ladders: dict[tuple[str, int], list[int]] = {}  # (kind, quarter) -> level binaries
-    for col in sorted(binaries):
-        ladders.setdefault((columns[col].kind, columns[col].quarter), []).append(col)
-    for (kind, quarter), cols in ladders.items():
-        if all(upper[col] == 0.0 for col in cols):
-            injected.append(InjectedConstraint(kind=f"forbid_extra_{_PROCESS_BY_KIND[kind]}", quarter=quarter))
 
     return StandardFormProblem(
         columns=tuple(columns),
@@ -697,5 +683,4 @@ def parse_lp_text(text: str) -> StandardFormProblem:
         lower=tuple(lower),
         upper=tuple(upper),
         binaries=tuple(sorted(binaries)),
-        injected=tuple(injected),
     )

@@ -249,9 +249,9 @@ class Solution:
     ``cost`` is their ``shift_cost``; on a ladder whose steps grow, a
     level can sit above the plan's ``minimal_shifts``, because the model
     gives level j the base plus that level's own step.
-    ``injections`` records the first-quarter restrictions the producing
-    model carried, and ``notes`` holds human-readable solver remarks
-    (escalations, repairs).
+    ``injections`` lists the producing model's first-quarter restrictions
+    in its order (``StandardFormProblem.injected``), and ``notes`` holds
+    human-readable solver remarks (escalations, repairs).
     """
 
     status: str

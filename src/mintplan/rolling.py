@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import costs as costs_mod
-from .bnb import DEFAULT_NODE_CAP
+from .bnb import DEFAULT_NODE_CAP, _check_node_cap
 from .heuristics import HeuristicEvent, solve_pipeline
 from .mip import DEFAULT_K_MAX
 from .model import (
@@ -119,8 +119,7 @@ class SimulationSettings:
             raise ValueError(f"k_max must be finite and >= 0, got {self.k_max}")
         if self.heuristic_order not in ("proc2-first", "proc1-first"):
             raise ValueError(f"unknown heuristic order {self.heuristic_order!r}")
-        if isinstance(self.node_cap, bool) or not isinstance(self.node_cap, int) or self.node_cap < 0:
-            raise ValueError(f"node_cap must be an integer >= 0, got {self.node_cap!r}")
+        _check_node_cap(self.node_cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,16 +461,18 @@ class SyntheticScenario:
     baseline_orders: np.ndarray
 
 
+#: Synthetic demand's seasonal swing and relative quarterly noise, and the
+#: quarter and capacity scale of its striking disruption.
+SEASONAL_AMPLITUDE, DEMAND_NOISE = 0.22, 0.03
+DISRUPTION_QUARTER, DISRUPTION_SCALE = 6, 0.62
+
+
 def generate_synthetic_scenario(
     seed: int = 0,
     *,
     quarters: int = 21,
     n_denoms: int = 7,
-    amplitude: float = 0.22,
-    demand_noise: float = 0.03,
     forecast_noise: float = 0.04,
-    disruption_quarter: int = 6,
-    disruption_scale: float = 0.62,
 ) -> SyntheticScenario:
     """Deterministic multi-year scenario with seasonal demand and one
     mid-run striking disruption.
@@ -511,13 +512,11 @@ def generate_synthetic_scenario(
     phase = float(rng.integers(0, 4))
     horizon_pad = max(HORIZON_CYCLE)
     t_axis = np.arange(n + horizon_pad)
-    season = 1.0 + amplitude * np.sin(2.0 * math.pi * (t_axis + phase) / 4.0)
-    noise = 1.0 + demand_noise * rng.standard_normal((n + horizon_pad, D))
+    season = 1.0 + SEASONAL_AMPLITUDE * np.sin(2.0 * math.pi * (t_axis + phase) / 4.0)
+    noise = 1.0 + DEMAND_NOISE * rng.standard_normal((n + horizon_pad, D))
     realized_full = np.maximum(0.0, np.outer(season * base_total, shares) * noise)
 
-    disruptions = (
-        Disruption(quarter=disruption_quarter, process="striking", capacity_scale=disruption_scale),
-    )
+    disruptions = (Disruption(quarter=DISRUPTION_QUARTER, process="striking", capacity_scale=DISRUPTION_SCALE),)
     initial_inventory = realized_full[0] / 3.0 + 0.45 * shares * base_total
     settings = SimulationSettings(
         vault_cap=float(2.4 * base_total),

@@ -137,6 +137,23 @@ def test_node_cap_is_enforced():
         solve_mip(problem, node_cap=1)
 
 
+@pytest.mark.parametrize("cap", [-5, -1, 2.5, True])
+def test_an_unusable_node_cap_is_refused_before_searching(cap, monkeypatch):
+    """A negative cap is no spent budget: it raises ValueError, as the
+    simulator settings do, before any LP is solved. A cap of 0 stays
+    legal and stops at the first LP."""
+    scenario, config = load_fixture("tiny.json")
+    problem = build(scenario, config)
+    searches = []
+    with monkeypatch.context() as patch:
+        patch.setattr(bnb, "_branch_and_bound", lambda *args, **kwargs: searches.append(args))
+        with pytest.raises(ValueError, match="node_cap must be an integer >= 0"):
+            solve_mip(problem, node_cap=cap)
+    assert searches == []
+    with pytest.raises(NodeCapExceeded):
+        solve_mip(problem, node_cap=0)
+
+
 def test_fixed_binaries_are_respected():
     scenario, config = load_fixture("tiny.json")
     problem = build(scenario, config)

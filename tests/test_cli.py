@@ -102,6 +102,14 @@ def test_solve_rejects_a_bad_granularity_before_searching(granularity, tmp_path,
     assert searches == []
 
 
+def test_solve_refuses_a_negative_node_cap(tiny_path, capsys):
+    """A negative cap is bad usage, not a node cap the search ran into."""
+    assert main(["solve", tiny_path, "--node-cap", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert "node_cap must be an integer >= 0, got -3" in err
+    assert "exceeded its node cap" not in err
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["solve", "/nonexistent/scenario.json"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -135,9 +135,9 @@ def test_order_controls_which_guards_fire_on_tiny():
         scenario, config, use_proc1=True, use_proc2=True, order="proc1-first", events=ev_12
     )
     assert sol_21.cost == sol_12.cost == pytest.approx(9.0, abs=1e-9)
-    assert [(inj.kind, inj.quarter) for inj in sol_21.injections] == [
-        ("forbid_extra_striking", 0),
+    assert [(inj.kind, inj.quarter) for inj in sol_21.injections] == [  # the model's order: rows, then bounds
         ("force_base_striking", 0),
+        ("forbid_extra_striking", 0),
     ]
     assert [(inj.kind, inj.quarter) for inj in sol_12.injections] == [
         ("forbid_extra_striking", 0),

@@ -18,13 +18,16 @@ from mintplan import (
     build,
     check_solution,
     export_lp_text,
+    generate_synthetic_scenario,
     load_scenario,
     parse_lp_text,
     restrict,
+    run_simulation,
     scaled_breakpoints,
 )
+from mintplan import bnb
 from mintplan.bnb import random_instance, solve_mip
-from mintplan.mip import level_capacity
+from mintplan.mip import INJECTED_FAMILIES, level_capacity
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -241,13 +244,15 @@ def test_restricting_twice_is_restricting_once_by_both():
     second = (InjectedConstraint("force_base_striking", 0), InjectedConstraint("forbid_extra_annealing", 1))
     once = restrict(model, first + second)
     twice = restrict(restrict(model, first), second)
-    assert (twice.rows, twice.lower, twice.upper, twice.injected) == (
-        once.rows,
-        once.lower,
-        once.upper,
-        once.injected,
+    assert twice == once and twice.injected == once.injected
+    # the model's order: force rows in row order, then forbids in column
+    # order (blanking, annealing, then striking binaries)
+    assert once.injected == (
+        InjectedConstraint("force_base_blanking", 1),
+        InjectedConstraint("force_base_striking", 0),
+        InjectedConstraint("forbid_extra_annealing", 1),
+        InjectedConstraint("forbid_extra_striking", 0),
     )
-    assert once.injected == first + second
     assert model.injected == () and model.rows == build(scenario, cfg).rows
     with pytest.raises(ValueError, match="outside horizon"):
         restrict(model, (InjectedConstraint("force_base_striking", 2),))
@@ -257,8 +262,7 @@ def test_restricting_twice_is_restricting_once_by_both():
 def test_a_repeated_restriction_is_refused(kind):
     """A restriction already on the model, or given twice in one call,
     raises. Accepted, a second force row would repeat its label, which
-    the LP text refuses, and a second forbid would list the restriction
-    twice in ``injected``, where the parsed copy lists it once."""
+    the LP text refuses, and a second forbid would change nothing."""
     model = build(*tiny())
     restriction = InjectedConstraint(kind, 0)
     once = restrict(model, (restriction,))
@@ -342,8 +346,9 @@ def test_lp_text_round_trip_is_exact():
 
 
 def test_lp_text_round_trip_keeps_forbid_restrictions():
-    """A forbid restriction travels as zero upper bounds in the text;
-    parsing recovers it from them, after the row-borne restrictions."""
+    """A forbid restriction travels as zero upper bounds in the text, and
+    ``injected`` reads it off them on both sides, after the row-borne
+    restrictions, so the parsed model equals the exported one."""
     scenario, cfg = tiny()
     injected = (
         InjectedConstraint("forbid_extra_striking", 1),
@@ -355,15 +360,65 @@ def test_lp_text_round_trip_keeps_forbid_restrictions():
     text = export_lp_text(problem)
     assert "forbid_extra" not in text
     parsed = parse_lp_text(text)
-    assert parsed.columns == problem.columns
-    assert parsed.objective == problem.objective
-    assert parsed.rows == problem.rows
-    assert parsed.lower == problem.lower
-    assert parsed.upper == problem.upper
-    assert parsed.binaries == problem.binaries
-    assert parsed.injected[0] == InjectedConstraint("force_base_striking", 0)
-    assert set(parsed.injected) == set(injected) and len(parsed.injected) == len(injected)
+    assert parsed == problem and parsed.injected == problem.injected
+    assert parsed.injected == (
+        InjectedConstraint("force_base_striking", 0),
+        InjectedConstraint("forbid_extra_blanking", 0),
+        InjectedConstraint("forbid_extra_annealing", 1),
+        InjectedConstraint("forbid_extra_striking", 1),
+    )
     assert export_lp_text(parsed) == text
+
+
+def round_trip(problem):
+    parsed = parse_lp_text(export_lp_text(problem))
+    assert parsed == problem and parsed.injected == problem.injected
+    return parsed
+
+
+def test_lp_text_round_trips_the_fixtures_exactly():
+    """Both fixtures, and a forbid given before a force: ``injected`` is
+    read off the model on both sides, so it lists them in the model's
+    order whatever order ``restrict`` took them in."""
+    for name in ("tiny.json", "slack.json"):
+        round_trip(build(*load_scenario(resources.files("mintplan").joinpath(f"fixtures/{name}").read_text())))
+    forbid, force = InjectedConstraint("forbid_extra_striking", 1), InjectedConstraint("force_base_striking", 0)
+    assert round_trip(restrict(build(*tiny()), (forbid, force))).injected == (force, forbid)
+
+
+def test_lp_text_round_trips_restricted_random_draws_exactly():
+    """300 random 2x2 and 3x3 draws, each restricted by a shuffled random
+    subset of first-quarter restrictions, split at a random point:
+    restricting by both parts in turn is restricting once by the whole,
+    and the model survives an export and a parse unchanged."""
+    rng = np.random.default_rng(26)
+    for i in range(300):
+        size = 2 + i % 2
+        model = build(*random_instance(rng, horizon=size, n_denoms=size))
+        chosen = [InjectedConstraint(kind, 0) for kind in INJECTED_FAMILIES if rng.random() < 0.5]
+        rng.shuffle(chosen)
+        cut = int(rng.integers(len(chosen) + 1))
+        problem = restrict(model, chosen)
+        assert restrict(restrict(model, chosen[:cut]), chosen[cut:]) == problem
+        assert sorted(round_trip(problem).injected, key=str) == sorted(chosen, key=str)
+
+
+def test_lp_text_round_trips_every_campaign_model_exactly(monkeypatch):
+    """Every model the pipeline solves in campaign seeds 0-4 (built,
+    restricted by the refinements, or escalated by the repair)."""
+    solved = []
+
+    def spy(problem, **kwargs):
+        solved.append(problem)
+        return solve_mip(problem, **kwargs)
+
+    monkeypatch.setattr(bnb, "solve_mip", spy)
+    for seed in range(5):
+        bundle = generate_synthetic_scenario(seed)
+        run_simulation(bundle.history, bundle.config, bundle.coin_specs, bundle.settings)
+    assert any(problem.injected for problem in solved)
+    for problem in solved:
+        round_trip(problem)
 
 
 def test_lp_text_partly_zeroed_ladder_recovers_no_forbid():
@@ -413,17 +468,11 @@ def test_parse_lp_text_rejects_malformed_documents():
         tiny_text.replace("  a[1,1]\n", "  a[1,1]\n  a[1,1]\n"),
         tiny_text.replace("\nend\n", "\n  f[0,0]\nend\n"),  # an order column is no shift level
         tiny_text.replace("  a[0,1]\n  a[0,2]\n", "  a[0,2]\n"),  # a continuous level would go unbilled
-        older_text(tiny_text, "mintplan-lp v1\nmode foo"),  # v1 knew two modes
-        older_text(tiny_text, "mintplan-lp v1"),  # v1 put a mode line second
-        # only -1.0 rewards K in older text: the solver adds that reward itself
-        older_text(tiny_text, "mintplan-lp v2").replace(" + -1.0 K\n", " + -3.0 K\n"),
-        older_text(tiny_text, "mintplan-lp v2").replace(" + -1.0 K\n", "\n"),
-        older_text(tiny_text, "mintplan-lp v2").replace(" + -1.0 K\n", " + -1.0 K + -1.0 K\n"),
-        tiny_text.replace(" a[1,2]\nsubject to\n", " a[1,2] + -1.0 K\nsubject to\n"),  # v3 puts nothing on K
+        older_text(tiny_text, "mintplan-lp v2"),  # only v3 is read
+        tiny_text.replace(" a[1,2]\nsubject to\n", " a[1,2] + -1.0 K\nsubject to\n"),  # the solver rewards K
         # the bill prices shift levels only: a reward on an order would be
         # minimized by the bill pass but priced by neither _bill nor the oracle
         tiny_text.replace(" a[1,2]\nsubject to\n", " a[1,2] + -100.0 f[1,0]\nsubject to\n"),
-        older_text(tiny_text, "mintplan-lp v2").replace(" + -1.0 K\n", " + -1.0 K + 2.0 E[0,1]\n"),
         # a repeated label: the solver would obey both rows, level_capacity only the last
         tiny_text.replace("\nbounds\n", "\n  striking_capacity[0]: 1.0 f[0,0] + 1.0 f[0,1] <= 90.0\nbounds\n"),
         # a restriction row names one quarter
@@ -433,7 +482,6 @@ def test_parse_lp_text_rejects_malformed_documents():
         tiny_text.replace("<= 300.0", "<= inf", 1),
         tiny_text.replace("2.5 f[0,0]", "nan f[0,0]", 1),  # an order's load
         tiny_text.replace("4.0 c[0,1]", "nan c[0,1]", 1),  # a level's cost
-        older_text(tiny_text, "mintplan-lp v2").replace("-1.0 K", "-inf K", 1),  # the K reward
         tiny_text.replace("<= K <= 2.0", "<= K <= inf", 1),  # the K ceiling
     ):
         with pytest.raises(LpFormatError):
@@ -441,24 +489,11 @@ def test_parse_lp_text_rejects_malformed_documents():
 
 
 def older_text(text: str, header: str) -> str:
-    """A v3 export as an older version writes it: ``header`` first, and
+    """A v3 export as an older version wrote it: ``header`` first, and
     the objective rewarding K at -1.0."""
     lines = text.split("\n")
     assert lines[0] == "mintplan-lp v3" and lines[1] == "minimize"
     return "\n".join([header, lines[1], lines[2] + " + -1.0 K", *lines[3:]])
-
-
-def test_v1_and_v2_texts_read_as_v3():
-    """A v2 document is v3 whose objective rewards K at -1.0, and a v1
-    document is v2 with a mode line second. The solver adds K's reward
-    and works the objective order out itself, so every one parses to the
-    problem the v3 text gives."""
-    text = export_lp_text(restrict(build(*tiny()), (InjectedConstraint("force_base_striking", 0),)))
-    want = parse_lp_text(text)
-    for header in ("mintplan-lp v2", "mintplan-lp v1\nmode lexicographic", "mintplan-lp v1\nmode combined"):
-        older = older_text(text, header)
-        assert older != text
-        assert parse_lp_text(older) == want
 
 
 def random_3q():
