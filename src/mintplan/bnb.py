@@ -36,7 +36,7 @@ from itertools import product
 import numpy as np
 
 from .lpsolve import slack_start, solve_lp
-from .mip import _BINARY_KIND_BY_PROCESS, _PROCESS_BY_KIND, Row, StandardFormProblem, _level_column, level_capacity
+from .mip import Row, StandardFormProblem, level_capacity, level_column, plan_of, shifts_of
 from .model import (
     BOUNDARY_TOL,
     PROCESSES,
@@ -46,7 +46,6 @@ from .model import (
     MintingPlan,
     MintPlanError,
     Scenario,
-    ShiftSelection,
     Solution,
     coin_loads,
 )
@@ -57,7 +56,8 @@ INT_TOL = 1e-6
 #: Default limit on LP relaxations solved per MIP solve.
 DEFAULT_NODE_CAP = 1_000_000
 
-_BRANCH_RANK = {"a": 0, "c": 1, "h": 2}
+#: The process order of branching ties, escalations and the enumeration.
+_SEARCH_ORDER = ("striking", "blanking", "annealing")
 
 
 class NodeCapExceeded(MintPlanError):
@@ -83,17 +83,20 @@ class RepairInfeasibleError(MintPlanError):
         self.partial_plan = partial_plan
 
 
+def _ladders_in_search_order(problem: StandardFormProblem) -> list[tuple[int, ...]]:
+    """The model's ladders by process in ``_SEARCH_ORDER``, then quarter."""
+    keys = sorted(problem.ladders, key=lambda key: (_SEARCH_ORDER.index(key[0]), key[1]))
+    return [problem.ladders[key] for key in keys]
+
+
 def _branch_column(problem: StandardFormProblem, x: np.ndarray) -> int | None:
-    best_col = None
-    best_key = None
-    for col in problem.binaries:
-        dist = min(x[col], 1.0 - x[col])
-        if dist <= INT_TOL:
-            continue
-        var = problem.columns[col]
-        key = (-dist, _BRANCH_RANK[var.kind], var.quarter, var.index or 0)
-        if best_key is None or key < best_key:
-            best_key, best_col = key, col
+    """The most fractional level binary, the first in search order on a tie."""
+    best_col, best_dist = None, INT_TOL
+    for ladder in _ladders_in_search_order(problem):
+        for col in ladder:
+            dist = min(x[col], 1.0 - x[col])
+            if dist > best_dist:
+                best_col, best_dist = col, dist
     return best_col
 
 
@@ -128,28 +131,7 @@ def _branch_and_bound(problem: StandardFormProblem, *, node_budget: list) -> np.
     return None
 
 
-def _shifts_from_binaries(problem: StandardFormProblem, x: np.ndarray) -> ShiftSelection:
-    T = problem.horizon
-    levels = {process: [0] * T for process in PROCESSES}
-    for col in problem.binaries:
-        if x[col] > 0.5:
-            var = problem.columns[col]
-            process = _PROCESS_BY_KIND[var.kind]
-            levels[process][var.quarter] = var.index if var.index is not None else 1
-    return ShiftSelection(**levels)
-
-
 def _extract_solution(problem: StandardFormProblem, x: np.ndarray) -> Solution:
-    T, D = problem.horizon, problem.n_denoms
-    orders = np.empty((T, D))
-    inventory = np.empty((T, D))
-    for t in range(T):
-        for d in range(D):
-            orders[t, d] = x[problem.column_index("f", t, d)]
-            inventory[t, d] = x[problem.column_index("E", t, d)]
-    np.maximum(orders, 0.0, out=orders)
-    np.maximum(inventory, 0.0, out=inventory)
-    plan = MintingPlan(orders=orders, inventory=inventory)
     k = float(x[problem.column_index("K")])
     cost = _bill(problem, x)
     return Solution(
@@ -157,8 +139,8 @@ def _extract_solution(problem: StandardFormProblem, x: np.ndarray) -> Solution:
         objective=cost - k,
         cost=cost,
         k=k,
-        plan=plan,
-        shifts=_shifts_from_binaries(problem, x),
+        plan=plan_of(problem, x),
+        shifts=shifts_of(problem, x),
         injections=problem.injected,
     )
 
@@ -572,13 +554,13 @@ def integerize(
 
         # an empty block list means nothing capacity-shaped stood in the
         # way (vault or pinned stock), so no higher shift level can help
-        ordered = sorted(blocked, key=lambda pair: (_BRANCH_RANK[_BINARY_KIND_BY_PROCESS[pair[1]]], -pair[0]))
+        ordered = sorted(blocked, key=lambda pair: (_SEARCH_ORDER.index(pair[1]), -pair[0]))
         for t_e, process in ordered:
             new_level = solution.shifts.levels(process)[t_e] + 1
             if new_level > problem.n_levels(process):
                 continue
             lower = list(problem.lower)
-            lower[_level_column(problem, process, t_e, new_level)] = 1.0
+            lower[level_column(problem, process, t_e, new_level)] = 1.0
             escalated_problem = replace(problem, lower=tuple(lower))
             try:
                 escalated = solve_mip(escalated_problem, node_cap=node_cap)
@@ -625,15 +607,9 @@ def exhaustive_objective(problem: StandardFormProblem) -> tuple[str, float]:
     Exponential in the horizon; meant for validating the tree search on
     tiny instances.
     """
-    families: dict = {}
-    for col in problem.binaries:
-        var = problem.columns[col]
-        families.setdefault((var.kind, var.quarter), []).append(col)
-    options = []
-    for key in sorted(families):
-        cols = sorted(families[key])
-        # switch no level on, or exactly one the model's bounds allow
-        options.append([None] + [col for col in cols if problem.upper[col] > 0.0])
+    options = [  # per ladder: switch no level on, or exactly one the model's bounds allow
+        [None] + [col for col in ladder if problem.upper[col] > 0.0] for ladder in _ladders_in_search_order(problem)
+    ]
     lower, upper = list(problem.lower), list(problem.upper)
     for col in problem.binaries:
         lower[col] = upper[col] = 0.0

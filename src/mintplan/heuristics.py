@@ -234,27 +234,13 @@ def run_heuristics(
     """
     if order not in ("proc2-first", "proc1-first"):
         raise ValueError(f"unknown heuristic order {order!r}")
+    steps = [(use_proc2, procedure2), (use_proc1, procedure1)]  # looked up per call, so a patched name is called
+    if order == "proc1-first":
+        steps.reverse()
     current = solution
-    steps = ("proc2", "proc1") if order == "proc2-first" else ("proc1", "proc2")
-    for step in steps:
-        if step == "proc1" and use_proc1:
-            current = procedure1(
-                scenario,
-                model,
-                current,
-                granularity=granularity,
-                node_cap=node_cap,
-                events=events,
-            )
-        elif step == "proc2" and use_proc2:
-            current = procedure2(
-                scenario,
-                model,
-                current,
-                granularity=granularity,
-                node_cap=node_cap,
-                events=events,
-            )
+    for enabled, procedure in steps:
+        if enabled:
+            current = procedure(scenario, model, current, granularity=granularity, node_cap=node_cap, events=events)
     return current
 
 

@@ -491,15 +491,12 @@ class _Tableau:
             col = int(self.basis[pos])
             if col < self.art_cols[0]:
                 continue
-            alphas = self.B_inv[pos] @ self.A
-            candidate = None
-            for j in range(self.art_cols[0]):
-                if self.status[j] != _BASIC and abs(alphas[j]) > PIVOT_TOL:
-                    candidate = j
-                    break
-            if candidate is None:
+            alphas = (self.B_inv[pos] @ self.A)[: self.art_cols[0]]
+            movable = np.flatnonzero((self.status[: self.art_cols[0]] != _BASIC) & (np.abs(alphas) > PIVOT_TOL))
+            if movable.size == 0:
                 self.x[col] = 0.0  # redundant row; artificial stays basic at 0
                 continue
+            candidate = int(movable[0])
             dq = self.B_inv @ self.A[:, candidate]
             self.basis[pos] = candidate
             self.status[candidate] = _BASIC

@@ -10,10 +10,10 @@ are laid out in one flat column vector, in this order:
 * ``a[t,j]``  striking extra level j selected in quarter t, binary
 * ``K``       safety-stock multiplier, continuous in [0, k_max]
 
-Each block runs quarter by quarter, so quarter t of a process owns
-``n_levels(process)`` consecutive level columns (annealing's ladder
-has the one level ``h``); ``StandardFormProblem.n_levels`` reads that
-count off the columns.
+Each block runs quarter by quarter, but no reader relies on that: the
+models of one column layout share one table of it, which maps each
+(process, quarter) to its level columns (``ladders``) and each quarter
+and denomination to its order and stock (``plan_columns``).
 
 The objective is the extra-shift bill: it charges every selected extra
 level and puts nothing on ``K``. ``bnb.solve_mip`` minimizes the bill,
@@ -25,12 +25,8 @@ level, picked by the level-choice row, raise the free base capacity by
 that level's own step (its breakpoint minus the one below). Inventory
 rows tie stocks to orders and demand; floor, vault, and terminal rows
 bound the stocks.
-``restrict`` adds first-quarter restrictions to a built model, reading
-them off its rows: forcing the base capacity to be fully used appends
-that capacity row's order terms as an equality, and forbidding a
-process's extra levels zeroes that quarter's level-binary upper bounds.
-``StandardFormProblem.injected`` reads the restrictions back off the
-rows and bounds, so a model carries no separate list of them.
+``restrict`` adds first-quarter restrictions as rows and bounds, and
+``StandardFormProblem.injected`` reads them back.
 ``level_capacity`` reads what a capacity row allows at a level.
 ``parse_lp_text`` reads the ``mintplan-lp v3`` text ``export_lp_text``
 writes.
@@ -43,15 +39,17 @@ import re
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .model import (
     PROCESSES,
     MintConfig,
+    MintingPlan,
     MintPlanError,
     Scenario,
+    ShiftSelection,
     Solution,
     coin_loads,
     scaled_breakpoints,
@@ -225,24 +223,30 @@ class StandardFormProblem:
             family, _, quarter = row.label[:-1].partition("[")
             if family in INJECTED_FAMILIES:
                 found.append(InjectedConstraint(kind=family, quarter=int(quarter)))
-        zeroed: dict[tuple[str, int], bool] = {}  # (kind, quarter) -> whole ladder at upper bound 0
-        for col in sorted(self.binaries):
-            key = (self.columns[col].kind, self.columns[col].quarter)
-            zeroed[key] = zeroed.get(key, True) and self.upper[col] == 0.0
-        for (kind, quarter), off in zeroed.items():
-            if off:
-                found.append(InjectedConstraint(kind=f"forbid_extra_{_PROCESS_BY_KIND[kind]}", quarter=quarter))
+        for (process, quarter), ladder in self.ladders.items():
+            if all(self.upper[col] == 0.0 for col in ladder):
+                found.append(InjectedConstraint(kind=f"forbid_extra_{process}", quarter=quarter))
         return tuple(found)
 
     @cached_property
-    def _column_by_key(self) -> Mapping:
+    def _layout(self) -> _Layout:
         return _shared_layout(self.columns)[1]
 
     def column_index(self, kind: str, quarter: int | None = None, index: int | None = None) -> int:
         try:
-            return self._column_by_key[(kind, quarter, index)]
+            return self._layout.column_by_key[(kind, quarter, index)]
         except KeyError:
             raise KeyError(f"no column {kind!r} quarter={quarter} index={index}") from None
+
+    @property
+    def ladders(self) -> Mapping[tuple[str, int], tuple[int, ...]]:
+        """(process, quarter) -> its level columns, level 1 first."""
+        return self._layout.ladders
+
+    @property
+    def plan_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (quarter x denomination) columns of the orders and the stocks."""
+        return self._layout.plan_columns
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -252,38 +256,53 @@ class StandardFormProblem:
     def row_by_label(self) -> dict:
         return {row.label: row for row in self.rows}
 
-    @cached_property
+    @property
     def horizon(self) -> int:
-        return 1 + max(v.quarter for v in self.columns if v.kind == "f")
-
-    @cached_property
-    def n_denoms(self) -> int:
-        return 1 + max(v.index for v in self.columns if v.kind == "f")
-
-    @cached_property
-    def _level_counts(self) -> dict:
-        counts = dict.fromkeys(PROCESSES, 0)
-        for v in self.columns:
-            if v.kind in _PROCESS_BY_KIND:
-                process = _PROCESS_BY_KIND[v.kind]
-                counts[process] = max(counts[process], v.index or 1)
-        return counts
+        return self.plan_columns[0].shape[0]
 
     def n_levels(self, process: str) -> int:
-        """How many extra levels ``process``'s ladder has (annealing: 1)."""
-        return self._level_counts[process]
+        """How many extra levels ``process``'s longest ladder has."""
+        return self._layout.n_levels[process]
 
     @property
     def k_max(self) -> float:
         return self.upper[self.column_index("K")]
 
 
+class _Layout(NamedTuple):
+    """Where one column layout keeps each decision."""
+
+    column_by_key: Mapping  # (kind, quarter, index) -> column
+    ladders: Mapping  # (process, quarter) -> level columns, level 1 first
+    n_levels: Mapping  # process -> length of its longest ladder
+    plan_columns: tuple[np.ndarray, np.ndarray] | None  # orders, stocks; None in a bare LP
+
+
 @lru_cache(maxsize=64)
-def _shared_layout(columns: tuple[VariableIndex, ...]) -> tuple[tuple[VariableIndex, ...], Mapping]:
-    """The first-seen copy of a column layout, with its read-only
-    (kind, quarter, index) -> column map: every model of one shape has
-    the same columns, so they share one copy (see ``_canonical``)."""
-    return columns, MappingProxyType({(v.kind, v.quarter, v.index): v.column for v in columns})
+def _shared_layout(columns: tuple[VariableIndex, ...]) -> tuple[tuple[VariableIndex, ...], _Layout]:
+    """The first-seen copy of a column layout and its table, which every
+    model of that shape shares (see ``_canonical``). ValueError when a
+    ladder skips a level."""
+    by_key = {(v.kind, v.quarter, v.index): v.column for v in columns}
+    ladders: dict = {}
+    for v in columns:
+        if v.kind in _PROCESS_BY_KIND:
+            level = 1 if v.kind == "h" else v.index  # annealing's one extra shift is its level 1
+            ladders.setdefault((_PROCESS_BY_KIND[v.kind], v.quarter), {})[level] = v.column
+    for (process, quarter), by_level in ladders.items():
+        if sorted(by_level) != list(range(1, len(by_level) + 1)):
+            raise ValueError(f"the {process} levels of quarter {quarter} must run 1 to {len(by_level)}")
+        ladders[process, quarter] = tuple(by_level[level] for level in range(1, len(by_level) + 1))
+    n_levels = {p: max((len(ladder) for (q, _), ladder in ladders.items() if q == p), default=0) for p in PROCESSES}
+    orders = [v for v in columns if v.kind == "f"]
+    try:
+        T, D = 1 + max(v.quarter for v in orders), 1 + max(v.index for v in orders)
+        plan_columns = tuple(np.array([[by_key[kind, t, d] for d in range(D)] for t in range(T)]) for kind in "fE")
+    except (KeyError, ValueError):  # no full grid of orders and stocks
+        plan_columns = None
+    for grid in plan_columns or ():
+        grid.flags.writeable = False
+    return columns, _Layout(*(MappingProxyType(m) for m in (by_key, ladders, n_levels)), plan_columns)
 
 
 def build(
@@ -446,11 +465,11 @@ def restrict(problem: StandardFormProblem, injected: Sequence[InjectedConstraint
         seen.add(inj.label)
         if inj.kind.startswith("force_base_"):
             capacity = problem.row_by_label[f"{inj.process}_capacity[{q}]"]
-            orders = tuple((col, coeff) for col, coeff in capacity.coeffs if problem.columns[col].kind == "f")
+            orders = tuple((col, coeff) for col, coeff in capacity.coeffs if col in problem.plan_columns[0][q])
             rows.append(Row(label=inj.label, coeffs=orders, relation="=", rhs=capacity.rhs))
         else:
-            for level in range(1, problem.n_levels(inj.process) + 1):
-                upper[_level_column(problem, inj.process, q, level)] = 0.0
+            for col in problem.ladders[inj.process, q]:
+                upper[col] = 0.0
     return replace(problem, rows=tuple(rows), upper=tuple(upper))
 
 
@@ -461,13 +480,16 @@ def level_capacity(problem: StandardFormProblem, process: str, quarter: int, lev
     row = problem.row_by_label[f"{process}_capacity[{quarter}]"]
     if level == 0:
         return row.rhs
-    return row.rhs - dict(row.coeffs).get(_level_column(problem, process, quarter, level), 0.0)
+    return row.rhs - dict(row.coeffs).get(level_column(problem, process, quarter, level), 0.0)
 
 
-def _level_column(problem: StandardFormProblem, process: str, quarter: int, level: int) -> int:
-    """The column of ``process``'s extra level ``level`` in ``quarter``."""
-    kind = _BINARY_KIND_BY_PROCESS[process]
-    return problem.column_index(kind, quarter, None if kind == "h" else level)
+def level_column(problem: StandardFormProblem, process: str, quarter: int, level: int) -> int:
+    """The column of ``process``'s extra level ``level`` (1 or more) in
+    ``quarter``; ValueError when the model's ladder lacks it."""
+    ladder = problem.ladders.get((process, quarter), ())
+    if not 1 <= level <= len(ladder):
+        raise ValueError(f"{process} level {level} exceeds the model's ladder in quarter {quarter}")
+    return ladder[level - 1]
 
 
 def check_solution(problem: StandardFormProblem, assignment: Sequence[float], tol: float = CHECK_TOL) -> list[str]:
@@ -504,25 +526,38 @@ def assignment_from_solution(problem: StandardFormProblem, solution: Solution) -
 
     Orders, stocks, K, and each ladder's level binaries come straight
     from the solution; a level the model's ladder lacks raises
-    ValueError.
+    ValueError. ``plan_of`` and ``shifts_of`` read them back.
     """
     if solution.status != "optimal":
         raise ValueError("only optimal solutions can be turned into assignments")
-    T, D = problem.horizon, problem.n_denoms
+    orders, stocks = problem.plan_columns
     x = np.zeros(len(problem.columns))
-    for t in range(T):
-        for d in range(D):
-            x[problem.column_index("f", t, d)] = solution.plan.orders[t, d]
-            x[problem.column_index("E", t, d)] = solution.plan.inventory[t, d]
+    x[orders] = solution.plan.orders
+    x[stocks] = solution.plan.inventory
     x[problem.column_index("K")] = solution.k
 
     for process in PROCESSES:
         for t, level in enumerate(solution.shifts.levels(process)):
-            if level > problem.n_levels(process):
-                raise ValueError(f"{process} level {level} exceeds the model's ladder ({problem.n_levels(process)} levels)")
             if level:
-                x[_level_column(problem, process, t, level)] = 1.0
+                x[level_column(problem, process, t, level)] = 1.0
     return x
+
+
+def plan_of(problem: StandardFormProblem, x: np.ndarray) -> MintingPlan:
+    """The orders and stocks of an assignment, each clipped at 0 from below."""
+    orders, stocks = problem.plan_columns
+    return MintingPlan(orders=np.maximum(x[orders], 0.0), inventory=np.maximum(x[stocks], 0.0))
+
+
+def shifts_of(problem: StandardFormProblem, x: np.ndarray) -> ShiftSelection:
+    """The extra level each process runs in each quarter of an
+    assignment: the highest of its ladder above 0.5, or 0."""
+    levels = {process: [0] * problem.horizon for process in PROCESSES}
+    for (process, quarter), ladder in problem.ladders.items():
+        for level, col in enumerate(ladder, 1):
+            if x[col] > 0.5:
+                levels[process][quarter] = level
+    return ShiftSelection(**levels)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +611,7 @@ def _parse_terms(text: str, column_of: dict) -> tuple[tuple[int, float], ...]:
     text = text.strip()
     if text == "0":
         return ()
-    pairs = []
+    coeff_of: dict[int, float] = {}
     for part in text.split(" + "):
         tokens = part.split()
         if len(tokens) != 2:
@@ -584,9 +619,10 @@ def _parse_terms(text: str, column_of: dict) -> tuple[tuple[int, float], ...]:
         coeff = _lp_number(tokens[0], f"coefficient in term {part!r}")
         if tokens[1] not in column_of:
             raise LpFormatError(f"term references unknown column {tokens[1]!r}")
-        pairs.append((column_of[tokens[1]], coeff))
-    pairs.sort(key=lambda p: p[0])
-    return tuple(pairs)
+        if column_of[tokens[1]] in coeff_of:
+            raise LpFormatError(f"column {tokens[1]!r} appears twice in one sum")
+        coeff_of[column_of[tokens[1]]] = coeff
+    return tuple(sorted(coeff_of.items()))
 
 
 def parse_lp_text(text: str) -> StandardFormProblem:
@@ -595,10 +631,10 @@ def parse_lp_text(text: str) -> StandardFormProblem:
 
     The objective must price shift levels and nothing else, the
     ``binary`` section must list every shift-level column once and
-    nothing else, and no two rows may share a label; any other document
-    raises ``LpFormatError``. The parsed model's ``injected`` is read
-    off its rows and bounds, as the exported model's is, so the round
-    trip gives back an equal problem."""
+    nothing else, no ladder may skip a level, no sum may name a column
+    twice, and no two rows may share a label (``LpFormatError``
+    otherwise). Like the exported model, the parsed one reads ``injected``
+    off its rows and bounds, so the round trip gives back an equal one."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if lines[:1] != [LP_HEADER]:
         raise LpFormatError(f"missing or unsupported header; expected {LP_HEADER!r}")
@@ -637,12 +673,17 @@ def parse_lp_text(text: str) -> StandardFormProblem:
         column_of[name] = col
         lower.append(_lp_number(m.group(1), f"bound value in {ln!r}"))
         upper.append(_lp_number(m.group(3), f"bound value in {ln!r}"))
+    try:
+        shared, layout = _shared_layout(tuple(columns))
+    except ValueError as exc:
+        raise LpFormatError(str(exc)) from None
+    levels = {col for ladder in layout.ladders.values() for col in ladder}
 
     if len(sections["minimize"]) != 1:
         raise LpFormatError("minimize section must hold exactly one line")
     objective = [0.0] * len(columns)
     for col, coeff in _parse_terms(sections["minimize"][0], column_of):
-        if columns[col].kind not in _PROCESS_BY_KIND:
+        if col not in levels:
             raise LpFormatError(f"the objective prices shift levels only, not {columns[col].name!r}")
         objective[col] = coeff
 
@@ -669,15 +710,14 @@ def parse_lp_text(text: str) -> StandardFormProblem:
             raise LpFormatError(f"binary section references unknown column {ln!r}")
         if column_of[ln] in binaries:
             raise LpFormatError(f"binary section lists {ln!r} twice")
-        if columns[column_of[ln]].kind not in _PROCESS_BY_KIND:
+        if column_of[ln] not in levels:
             raise LpFormatError(f"binary section lists {ln!r}, which is no shift level")
         binaries.add(column_of[ln])
-    for var in columns:
-        if var.kind in _PROCESS_BY_KIND and var.column not in binaries:
-            raise LpFormatError(f"binary section leaves out the shift level {var.name!r}")
+    if levels - binaries:
+        raise LpFormatError(f"binary section leaves out the shift level {columns[min(levels - binaries)].name!r}")
 
     return StandardFormProblem(
-        columns=tuple(columns),
+        columns=shared,
         objective=tuple(objective),
         rows=tuple(rows),
         lower=tuple(lower),

@@ -6,9 +6,9 @@ LP generator builds small dense problems straight from the dataclasses.
 These routines were written and frozen before the solvers were tuned
 against them. ``highs_lexicographic`` hands a model to HiGHS, through
 scipy, for instances too large to enumerate. ``permute_rows``,
-``floors_as_bounds``, ``scale_rows`` and ``duplicate_capacity_rows``
-rewrite a model into an equivalent one, which must solve to the same
-answer at any size.
+``floors_as_bounds``, ``scale_rows``, ``duplicate_capacity_rows`` and
+``permute_columns`` rewrite a model into an equivalent one, which must
+solve to the same answer at any size.
 """
 
 from __future__ import annotations
@@ -208,3 +208,22 @@ def duplicate_capacity_rows(problem: StandardFormProblem) -> StandardFormProblem
     )
     assert copies
     return replace(problem, rows=problem.rows + copies)
+
+
+def permute_columns(problem: StandardFormProblem, rng: np.random.Generator) -> StandardFormProblem:
+    """The model with its columns renumbered at random: the row terms
+    (re-sorted by column), the objective, the bounds and the binaries
+    follow their columns, so no reader may assume ``build``'s order."""
+    old_at = rng.permutation(len(problem.columns)).tolist()  # new column -> old column
+    new_at = {old: new for new, old in enumerate(old_at)}
+    rows = tuple(
+        replace(row, coeffs=tuple(sorted((new_at[col], coeff) for col, coeff in row.coeffs))) for row in problem.rows
+    )
+    return StandardFormProblem(
+        columns=tuple(replace(problem.columns[old], column=new) for new, old in enumerate(old_at)),
+        objective=tuple(problem.objective[old] for old in old_at),
+        rows=rows,
+        lower=tuple(problem.lower[old] for old in old_at),
+        upper=tuple(problem.upper[old] for old in old_at),
+        binaries=tuple(sorted(new_at[col] for col in problem.binaries)),
+    )

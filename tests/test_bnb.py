@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from mintplan import (
+    PROCESSES,
     CoinSpec,
     InjectedConstraint,
     MintConfig,
     NodeCapExceeded,
     RepairInfeasibleError,
     Scenario,
+    ShiftSelection,
     assignment_from_solution,
     build,
     check_solution,
@@ -32,6 +34,7 @@ from mintplan import (
     solve_mip,
 )
 from mintplan import bnb, lpsolve
+from mintplan.mip import plan_of, shifts_of
 
 
 def load_fixture(name: str):
@@ -913,21 +916,25 @@ def test_tree_search_agrees_with_highs():
     assert statuses == {"optimal", "infeasible"}
 
 
-def test_equivalent_models_solve_to_the_same_answer():
-    """Metamorphic relations: a model with its rows permuted, one with
-    its stock floors as bounds instead of rows, one with each row scaled
-    by a power of two, and one with a looser copy of every capacity row
-    solve to the status, bill and K of the model itself, on 3-quarter
-    draws and on 5-quarter, 7-denomination draws past the enumeration's
-    reach."""
-    from oracles import duplicate_capacity_rows, floors_as_bounds, permute_rows, scale_rows
-
+def equivalence_cases() -> list:
+    """``(model, node_cap)`` for 20 3-quarter draws and for 10 5-quarter,
+    7-denomination draws past the enumeration's reach."""
     rng = np.random.default_rng(12)
     cases = [(build(*random_instance(rng, horizon=3, n_denoms=3)), bnb.DEFAULT_NODE_CAP) for _ in range(20)]
     rng = np.random.default_rng(2026)
-    cases += [(build(*random_instance(rng, horizon=5, n_denoms=7)), 400) for _ in range(10)]
+    return cases + [(build(*random_instance(rng, horizon=5, n_denoms=7)), 400) for _ in range(10)]
+
+
+def test_equivalent_models_solve_to_the_same_answer():
+    """Metamorphic relations: a model with its rows permuted, one with
+    its stock floors as bounds instead of rows, one with each row scaled
+    by a power of two, one with a looser copy of every capacity row, and
+    one with its columns renumbered solve to the status, bill and K of
+    the model itself."""
+    from oracles import duplicate_capacity_rows, floors_as_bounds, permute_columns, permute_rows, scale_rows
+
     statuses = set()
-    for i, (problem, node_cap) in enumerate(cases):
+    for i, (problem, node_cap) in enumerate(equivalence_cases()):
         want = solve_mip(problem, node_cap=node_cap)
         statuses.add(want.status)
         for name, equivalent in (
@@ -935,6 +942,7 @@ def test_equivalent_models_solve_to_the_same_answer():
             ("floors as bounds", floors_as_bounds(problem)),
             ("rows scaled", scale_rows(problem, np.random.default_rng(2000 + i))),
             ("capacity rows duplicated", duplicate_capacity_rows(problem)),
+            ("columns permuted", permute_columns(problem, np.random.default_rng(3000 + i))),
         ):
             got = solve_mip(equivalent, node_cap=node_cap)
             assert got.status == want.status, (i, name)
@@ -942,3 +950,29 @@ def test_equivalent_models_solve_to_the_same_answer():
                 assert got.cost == want.cost, (i, name)
                 assert got.k == pytest.approx(want.k, rel=1e-7), (i, name)
     assert statuses == {"optimal", "infeasible"}
+
+
+def test_plan_of_and_shifts_of_read_back_an_assignment():
+    """``plan_of`` and ``shifts_of`` give back the plan and shifts that
+    ``assignment_from_solution`` writes, on the optimal equivalence draws
+    and on the same draws with their columns renumbered: the solution's
+    own shifts, and shifts that run through every level of each ladder."""
+    from oracles import permute_columns
+
+    optimal = 0
+    for i, (problem, node_cap) in enumerate(equivalence_cases()):
+        for model in (problem, permute_columns(problem, np.random.default_rng(3000 + i))):
+            solution = solve_mip(model, node_cap=node_cap)
+            if solution.status != "optimal":
+                continue
+            optimal += 1
+            every_level = ShiftSelection(
+                **{p: [(t + i) % (model.n_levels(p) + 1) for t in range(model.horizon)] for p in PROCESSES}
+            )
+            for shifts in (solution.shifts, every_level):
+                x = assignment_from_solution(model, replace(solution, shifts=shifts))
+                plan = plan_of(model, x)
+                assert plan.orders.tobytes() == solution.plan.orders.tobytes(), i
+                assert plan.inventory.tobytes() == solution.plan.inventory.tobytes(), i
+                assert shifts_of(model, x) == shifts, i
+    assert optimal == 2 * 26

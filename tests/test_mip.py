@@ -27,7 +27,7 @@ from mintplan import (
 )
 from mintplan import bnb
 from mintplan.bnb import random_instance, solve_mip
-from mintplan.mip import INJECTED_FAMILIES, level_capacity
+from mintplan.mip import INJECTED_FAMILIES, level_capacity, level_column
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -226,6 +226,39 @@ def test_assignment_rejects_a_level_the_ladder_lacks():
     beyond = replace(solution, shifts=replace(solution.shifts, striking=(1, 3)))
     with pytest.raises(ValueError, match="striking level 3 exceeds"):
         assignment_from_solution(problem, beyond)
+
+
+def test_models_of_one_layout_share_one_table():
+    """Built, restricted and parsed models of one column layout share one
+    table: each ladder's level columns, level 1 first (annealing's ``h[t]``
+    is its level 1), and the order and stock columns. A bare LP has no
+    plan columns but still finds its columns."""
+    from oracles import random_lp
+
+    model = build(*tiny())
+    restricted = restrict(build(*tiny()), [InjectedConstraint("forbid_extra_striking", 1)])
+    for other in (restricted, parse_lp_text(export_lp_text(model))):
+        assert other.ladders is model.ladders and other.plan_columns is model.plan_columns
+    assert dict(model.ladders) == {
+        ("blanking", 0): (8, 9),
+        ("blanking", 1): (10, 11),
+        ("annealing", 0): (12,),
+        ("annealing", 1): (13,),
+        ("striking", 0): (14, 15),
+        ("striking", 1): (16, 17),
+    }
+    orders, stocks = model.plan_columns
+    assert orders.tolist() == [[0, 1], [2, 3]] and stocks.tolist() == [[4, 5], [6, 7]]
+    with pytest.raises(ValueError):
+        orders[0, 0] = 5  # shared by every model of the layout
+    assert level_column(model, "annealing", 1, 1) == model.column_index("h", 1)
+    assert level_column(model, "striking", 1, 2) == model.column_index("a", 1, 2)
+    for process, level in (("striking", 3), ("annealing", 2), ("blanking", 0)):
+        with pytest.raises(ValueError):
+            level_column(model, process, 0, level)
+
+    bare = random_lp(np.random.default_rng(0))
+    assert bare.column_index("f", 0, 0) == 0 and bare.plan_columns is None and not bare.ladders
 
 
 def tiny_with_a_disrupted_quarter():
@@ -483,6 +516,11 @@ def test_parse_lp_text_rejects_malformed_documents():
         tiny_text.replace("2.5 f[0,0]", "nan f[0,0]", 1),  # an order's load
         tiny_text.replace("4.0 c[0,1]", "nan c[0,1]", 1),  # a level's cost
         tiny_text.replace("<= K <= 2.0", "<= K <= inf", 1),  # the K ceiling
+        # a column named twice in one sum: the last cost would win, and a
+        # row would hold two terms on one column
+        tiny_text.replace("4.0 c[0,1]", "4.0 c[0,1] + 9.0 c[0,1]", 1),
+        tiny_text.replace("2.5 f[0,0]", "2.5 f[0,0] + 1.0 f[0,0]", 1),
+        tiny_text.replace("a[0,2]", "a[0,3]"),  # a ladder that skips level 2
     ):
         with pytest.raises(LpFormatError):
             parse_lp_text(bad)

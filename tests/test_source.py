@@ -44,3 +44,21 @@ def test_only_the_model_reads_per_coin_loads():
     each process; every other module reads it instead of the specs."""
     found = {p.name: coin_load_reads(p.read_text()) for p in MODULES if p.name != "model.py"}
     assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def private_imports(source: str, module: str) -> list[str]:
+    """Underscore names a module imports from the sibling ``module``."""
+    return [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_module_imports_a_private_name_of_mip():
+    """``mip`` owns the map from plans and ladders to columns; the other
+    modules read it through public names, never through its private ones."""
+    found = {p.name: private_imports(p.read_text(), "mip") for p in MODULES if p.name != "mip.py"}
+    assert {name: names for name, names in found.items() if names} == {}
