@@ -10,10 +10,14 @@ are laid out in one flat column vector, in this order:
 * ``a[t,j]``  striking extra level j selected in quarter t, binary
 * ``K``       safety-stock multiplier, continuous in [0, k_max]
 
-Each block runs quarter by quarter, but no reader relies on that: the
-models of one column layout share one table of it, which maps each
-(process, quarter) to its level columns (``ladders``) and each quarter
-and denomination to its order and stock (``plan_columns``).
+A model's ``columns`` are these names, and nothing else records what a
+column is. Each block runs quarter by quarter, but no reader relies on
+that: the models of one column layout share one table parsed from the
+names, which maps each (process, quarter) to its level columns
+(``ladders``), each quarter and denomination to its order and stock
+(``plan_columns``), and lists every level column (``binaries``). A new
+column kind is one name pattern in ``_NAME_RE`` plus its place in
+``build``.
 
 The objective is the extra-shift bill: it charges every selected extra
 level and puts nothing on ``K``. ``bnb.solve_mip`` minimizes the bill,
@@ -84,41 +88,10 @@ class LpFormatError(MintPlanError):
     """An LP text document is malformed."""
 
 
-@dataclass(frozen=True, slots=True)
-class VariableIndex:
-    """Position and meaning of one column.
-
-    ``kind`` is one of f, E, c, h, a, K; ``quarter`` and ``index`` hold
-    the subscripts that apply to that kind (denomination for f/E, level
-    for c/a, nothing for K).
-    """
-
-    kind: str
-    column: int
-    quarter: int | None = None
-    index: int | None = None
-
-    @property
-    def name(self) -> str:
-        if self.kind == "K":
-            return "K"
-        if self.kind == "h":
-            return f"h[{self.quarter}]"
-        return f"{self.kind}[{self.quarter},{self.index}]"
-
-
-_NAME_RE = re.compile(r"^(?:([fEca])\[(\d+),(\d+)\]|h\[(\d+)\]|K)$")
-
-
-def _variable_from_name(name: str, column: int) -> VariableIndex:
-    m = _NAME_RE.match(name)
-    if m is None:
-        raise LpFormatError(f"unknown variable name {name!r}")
-    if name == "K":
-        return VariableIndex(kind="K", column=column)
-    if m.group(4) is not None:
-        return VariableIndex(kind="h", column=column, quarter=int(m.group(4)))
-    return VariableIndex(kind=m.group(1), column=column, quarter=int(m.group(2)), index=int(m.group(3)))
+#: A column's name: ``f[t,d]``, ``E[t,d]``, ``c[t,i]``, ``h[t]``, ``a[t,j]`` or
+#: ``K``. Subscripts have no leading zeros, so each column has one name.
+_NUMBER = "(0|[1-9][0-9]*)"
+_NAME_RE = re.compile(rf"([fEca])\[{_NUMBER},{_NUMBER}\]|h\[{_NUMBER}\]|K")
 
 
 @lru_cache(maxsize=8192)
@@ -187,6 +160,12 @@ class InjectedConstraint:
 class StandardFormProblem:
     """A fully built model: columns, objective, rows, and bounds.
 
+    ``columns`` holds each column's name (``f[0,1]``, ``h[2]``, ``K``);
+    the models of one column layout share one table parsed from them,
+    which ``binaries`` (every ladder column), ``ladders``,
+    ``plan_columns`` and ``column_index`` read. A name that is no
+    column, a repeated name, or a ladder that skips a level raises
+    ValueError when the model is made.
     ``objective`` is the extra-shift bill: the level binaries' costs,
     and 0.0 on ``K``, whose reward ``bnb.solve_mip`` adds itself.
     ``injected`` reads the model's restrictions off its rows and bounds.
@@ -197,12 +176,11 @@ class StandardFormProblem:
     and makes the model infeasible.
     """
 
-    columns: tuple[VariableIndex, ...]
+    columns: tuple[str, ...]
     objective: tuple[float, ...]
     rows: tuple[Row, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    binaries: tuple[int, ...]
 
     def __post_init__(self):
         n = len(self.columns)
@@ -210,6 +188,7 @@ class StandardFormProblem:
             raise ValueError("objective and bounds must cover every column")
         if not (all(map(math.isfinite, self.lower)) and all(map(math.isfinite, self.upper))):
             raise ValueError("every column's bounds must be finite")
+        self._layout  # reading the layout checks the names
 
     @cached_property
     def injected(self) -> tuple[InjectedConstraint, ...]:
@@ -239,6 +218,11 @@ class StandardFormProblem:
             raise KeyError(f"no column {kind!r} quarter={quarter} index={index}") from None
 
     @property
+    def binaries(self) -> tuple[int, ...]:
+        """Every ladder column, in column order."""
+        return self._layout.binaries
+
+    @property
     def ladders(self) -> Mapping[tuple[str, int], tuple[int, ...]]:
         """(process, quarter) -> its level columns, level 1 first."""
         return self._layout.ladders
@@ -247,10 +231,6 @@ class StandardFormProblem:
     def plan_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The (quarter x denomination) columns of the orders and the stocks."""
         return self._layout.plan_columns
-
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.columns)
 
     @cached_property
     def row_by_label(self) -> dict:
@@ -276,33 +256,50 @@ class _Layout(NamedTuple):
     ladders: Mapping  # (process, quarter) -> level columns, level 1 first
     n_levels: Mapping  # process -> length of its longest ladder
     plan_columns: tuple[np.ndarray, np.ndarray] | None  # orders, stocks; None in a bare LP
+    binaries: tuple[int, ...]  # every ladder column, in column order
 
 
 @lru_cache(maxsize=64)
-def _shared_layout(columns: tuple[VariableIndex, ...]) -> tuple[tuple[VariableIndex, ...], _Layout]:
-    """The first-seen copy of a column layout and its table, which every
-    model of that shape shares (see ``_canonical``). ValueError when a
-    ladder skips a level."""
-    by_key = {(v.kind, v.quarter, v.index): v.column for v in columns}
+def _shared_layout(columns: tuple[str, ...]) -> tuple[tuple[str, ...], _Layout]:
+    """The first-seen copy of a column layout and its table, parsed from
+    the column names, which every model of that shape shares (see
+    ``_canonical``). ValueError when a name is no column or repeats, or
+    when a ladder skips a level."""
+    by_key: dict = {}
     ladders: dict = {}
-    for v in columns:
-        if v.kind in _PROCESS_BY_KIND:
-            level = 1 if v.kind == "h" else v.index  # annealing's one extra shift is its level 1
-            ladders.setdefault((_PROCESS_BY_KIND[v.kind], v.quarter), {})[level] = v.column
+    for col, name in enumerate(columns):
+        m = _NAME_RE.fullmatch(name)
+        if m is None:
+            raise ValueError(f"unknown column name {name!r}")
+        kind, quarter, index, h_quarter = m.groups()
+        if name == "K":
+            key = ("K", None, None)
+        elif h_quarter is not None:
+            key = ("h", int(h_quarter), None)
+        else:
+            key = (kind, int(quarter), int(index))
+        if key in by_key:
+            raise ValueError(f"column {name!r} appears twice")
+        by_key[key] = col
+        if key[0] in _PROCESS_BY_KIND:
+            level = 1 if key[0] == "h" else key[2]  # annealing's one extra shift is its level 1
+            ladders.setdefault((_PROCESS_BY_KIND[key[0]], key[1]), {})[level] = col
     for (process, quarter), by_level in ladders.items():
         if sorted(by_level) != list(range(1, len(by_level) + 1)):
             raise ValueError(f"the {process} levels of quarter {quarter} must run 1 to {len(by_level)}")
         ladders[process, quarter] = tuple(by_level[level] for level in range(1, len(by_level) + 1))
     n_levels = {p: max((len(ladder) for (q, _), ladder in ladders.items() if q == p), default=0) for p in PROCESSES}
-    orders = [v for v in columns if v.kind == "f"]
+    binaries = tuple(sorted(col for ladder in ladders.values() for col in ladder))
+    orders = [(t, d) for kind, t, d in by_key if kind == "f"]
     try:
-        T, D = 1 + max(v.quarter for v in orders), 1 + max(v.index for v in orders)
+        T, D = 1 + max(t for t, _ in orders), 1 + max(d for _, d in orders)
         plan_columns = tuple(np.array([[by_key[kind, t, d] for d in range(D)] for t in range(T)]) for kind in "fE")
     except (KeyError, ValueError):  # no full grid of orders and stocks
         plan_columns = None
     for grid in plan_columns or ():
         grid.flags.writeable = False
-    return columns, _Layout(*(MappingProxyType(m) for m in (by_key, ladders, n_levels)), plan_columns)
+    layout = _Layout(*(MappingProxyType(m) for m in (by_key, ladders, n_levels)), plan_columns, binaries)
+    return columns, layout
 
 
 def build(
@@ -333,8 +330,7 @@ def build(
     def e(t: int, d: int) -> int:
         return T * D + t * D + d
 
-    columns = [VariableIndex(kind="f", column=f(t, d), quarter=t, index=d) for t in range(T) for d in range(D)]
-    columns += [VariableIndex(kind="E", column=e(t, d), quarter=t, index=d) for t in range(T) for d in range(D)]
+    columns = [f"{kind}[{t},{d}]" for kind in "fE" for t in range(T) for d in range(D)]
     # lists rather than arrays, so the tuples stored below share a few
     # float objects instead of holding a fresh float per column
     objective = [0.0] * len(columns)
@@ -346,10 +342,10 @@ def build(
         for t in range(T):
             levels[process].append(range(len(columns), len(columns) + len(level_costs)))
             for j, cost in enumerate(level_costs, 1):
-                columns.append(VariableIndex(kind=kind, column=len(columns), quarter=t, index=None if kind == "h" else j))
+                columns.append(f"h[{t}]" if kind == "h" else f"{kind}[{t},{j}]")
                 objective.append(float(cost))
     col_k = len(columns)
-    columns.append(VariableIndex(kind="K", column=col_k))
+    columns.append("K")
     objective.append(0.0)
 
     def terms(pairs: Iterable[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
@@ -426,9 +422,8 @@ def build(
                 )
             )
 
-    binaries = tuple(range(2 * T * D, col_k))
     upper = [float(eff["striking"][t][-1]) for t in range(T) for _ in range(D)]  # orders: the top striking level
-    upper += [float(s.vault_cap)] * (T * D) + [1.0] * len(binaries) + [float(k_max)]
+    upper += [float(s.vault_cap)] * (T * D) + [1.0] * (col_k - 2 * T * D) + [float(k_max)]
 
     return StandardFormProblem(
         columns=_shared_layout(tuple(columns))[0],
@@ -436,7 +431,6 @@ def build(
         rows=tuple(rows),
         lower=(0.0,) * len(columns),
         upper=tuple(upper),
-        binaries=binaries,
     )
 
 
@@ -506,13 +500,12 @@ def check_solution(problem: StandardFormProblem, assignment: Sequence[float], to
     for row in problem.rows:
         if row.violation(x) > tol:
             out.append(row.label)
-    for v in problem.columns:
-        col = v.column
-        if x[col] < problem.lower[col] - tol or x[col] > problem.upper[col] + tol:
-            out.append(f"bound[{v.name}]")
+    for col, name in enumerate(problem.columns):  # written so that a NaN fails
+        if not problem.lower[col] - tol <= x[col] <= problem.upper[col] + tol:
+            out.append(f"bound[{name}]")
     for col in problem.binaries:
-        if min(abs(x[col]), abs(x[col] - 1.0)) > tol:
-            out.append(f"binary[{problem.columns[col].name}]")
+        if not min(abs(x[col]), abs(x[col] - 1.0)) <= tol:
+            out.append(f"binary[{problem.columns[col]}]")
     return out
 
 
@@ -565,7 +558,7 @@ def shifts_of(problem: StandardFormProblem, x: np.ndarray) -> ShiftSelection:
 # ---------------------------------------------------------------------------
 
 def _terms_text(problem: StandardFormProblem, pairs: Iterable[tuple[int, float]]) -> str:
-    parts = [f"{coeff!r} {problem.columns[col].name}" for col, coeff in pairs]
+    parts = [f"{coeff!r} {problem.columns[col]}" for col, coeff in pairs]
     return " + ".join(parts) if parts else "0"
 
 
@@ -586,11 +579,11 @@ def export_lp_text(problem: StandardFormProblem) -> str:
     for row in problem.rows:
         lines.append(f"  {row.label}: {_terms_text(problem, row.coeffs)} {row.relation} {row.rhs!r}")
     lines.append("bounds")
-    for v in problem.columns:
-        lines.append(f"  {problem.lower[v.column]!r} <= {v.name} <= {problem.upper[v.column]!r}")
+    for col, name in enumerate(problem.columns):
+        lines.append(f"  {problem.lower[col]!r} <= {name} <= {problem.upper[col]!r}")
     lines.append("binary")
     for col in problem.binaries:
-        lines.append(f"  {problem.columns[col].name}")
+        lines.append(f"  {problem.columns[col]}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -622,19 +615,23 @@ def _parse_terms(text: str, column_of: dict) -> tuple[tuple[int, float], ...]:
         if column_of[tokens[1]] in coeff_of:
             raise LpFormatError(f"column {tokens[1]!r} appears twice in one sum")
         coeff_of[column_of[tokens[1]]] = coeff
-    return tuple(sorted(coeff_of.items()))
+    return tuple(sorted((col, coeff) for col, coeff in coeff_of.items() if coeff != 0.0))
 
 
 def parse_lp_text(text: str) -> StandardFormProblem:
     """Inverse of ``export_lp_text``: the document must start with the
     ``mintplan-lp v3`` header.
 
-    The objective must price shift levels and nothing else, the
-    ``binary`` section must list every shift-level column once and
-    nothing else, no ladder may skip a level, no sum may name a column
-    twice, and no two rows may share a label (``LpFormatError``
-    otherwise). Like the exported model, the parsed one reads ``injected``
-    off its rows and bounds, so the round trip gives back an equal one."""
+    The columns must include ``K`` and a full grid of orders and stocks
+    with every shift level in one of its quarters, the objective must
+    price shift levels and nothing else, the ``binary`` section must
+    list every shift-level column once and nothing else, no sum may name
+    a column twice, and no two rows may share a label; a bad column name
+    or a ladder that skips a level fails as it does in
+    ``StandardFormProblem`` (``LpFormatError`` for all). Zero terms are
+    dropped. Like the exported model, the parsed one
+    reads ``injected`` off its rows and bounds, so the round trip gives
+    back an equal one."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if lines[:1] != [LP_HEADER]:
         raise LpFormatError(f"missing or unsupported header; expected {LP_HEADER!r}")
@@ -657,34 +654,33 @@ def parse_lp_text(text: str) -> StandardFormProblem:
         raise LpFormatError("sections must appear once each, in order: minimize, subject to, bounds, binary")
 
     bound_re = re.compile(r"^(\S+) <= (\S+) <= (\S+)$")
-    columns: list[VariableIndex] = []
+    names: list[str] = []
     lower: list[float] = []
     upper: list[float] = []
-    column_of: dict[str, int] = {}
     for ln in sections["bounds"]:
         m = bound_re.match(ln)
         if m is None:
             raise LpFormatError(f"malformed bounds line {ln!r}")
-        name = m.group(2)
-        if name in column_of:
-            raise LpFormatError(f"duplicate column {name!r} in bounds")
-        col = len(columns)
-        columns.append(_variable_from_name(name, col))
-        column_of[name] = col
+        names.append(m.group(2))
         lower.append(_lp_number(m.group(1), f"bound value in {ln!r}"))
         upper.append(_lp_number(m.group(3), f"bound value in {ln!r}"))
     try:
-        shared, layout = _shared_layout(tuple(columns))
+        columns, layout = _shared_layout(tuple(names))
     except ValueError as exc:
         raise LpFormatError(str(exc)) from None
-    levels = {col for ladder in layout.ladders.values() for col in ladder}
+    if ("K", None, None) not in layout.column_by_key or layout.plan_columns is None:
+        raise LpFormatError("the columns must include K and a full grid of orders and stocks")
+    if any(quarter >= len(layout.plan_columns[0]) for _, quarter in layout.ladders):
+        raise LpFormatError("every shift level must lie in a quarter of the order grid")
+    column_of = {name: col for col, name in enumerate(columns)}
+    levels = set(layout.binaries)
 
     if len(sections["minimize"]) != 1:
         raise LpFormatError("minimize section must hold exactly one line")
     objective = [0.0] * len(columns)
     for col, coeff in _parse_terms(sections["minimize"][0], column_of):
         if col not in levels:
-            raise LpFormatError(f"the objective prices shift levels only, not {columns[col].name!r}")
+            raise LpFormatError(f"the objective prices shift levels only, not {columns[col]!r}")
         objective[col] = coeff
 
     row_re = re.compile(r"^([A-Za-z_]+\[[0-9,]+\]): (.*) (<=|=|>=) (\S+)$")
@@ -704,23 +700,13 @@ def parse_lp_text(text: str) -> StandardFormProblem:
         if family in INJECTED_FAMILIES and not quarter.isdigit():
             raise LpFormatError(f"restriction row {label!r} must name one quarter")
 
-    binaries: set[int] = set()
-    for ln in sections["binary"]:
-        if ln not in column_of:
-            raise LpFormatError(f"binary section references unknown column {ln!r}")
-        if column_of[ln] in binaries:
-            raise LpFormatError(f"binary section lists {ln!r} twice")
-        if column_of[ln] not in levels:
-            raise LpFormatError(f"binary section lists {ln!r}, which is no shift level")
-        binaries.add(column_of[ln])
-    if levels - binaries:
-        raise LpFormatError(f"binary section leaves out the shift level {columns[min(levels - binaries)].name!r}")
+    if sorted(sections["binary"]) != sorted(columns[col] for col in layout.binaries):
+        raise LpFormatError("the binary section must list every shift-level column once, and nothing else")
 
     return StandardFormProblem(
-        columns=shared,
+        columns=columns,
         objective=tuple(objective),
         rows=tuple(rows),
         lower=tuple(lower),
         upper=tuple(upper),
-        binaries=tuple(sorted(binaries)),
     )

@@ -8,7 +8,8 @@ against them. ``highs_lexicographic`` hands a model to HiGHS, through
 scipy, for instances too large to enumerate. ``permute_rows``,
 ``floors_as_bounds``, ``scale_rows``, ``duplicate_capacity_rows`` and
 ``permute_columns`` rewrite a model into an equivalent one, which must
-solve to the same answer at any size.
+solve to the same answer at any size; ``rescale_coins`` does the same to
+the data the model is built from.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from mintplan import StandardFormProblem
-from mintplan.mip import Row, VariableIndex
+from mintplan import MintConfig, Scenario, StandardFormProblem
+from mintplan.mip import Row
 from mintplan.model import PROCESSES
 
 FEAS_TOL = 1e-7
@@ -89,7 +90,7 @@ def random_lp(rng: np.random.Generator) -> StandardFormProblem:
     """
     n = int(rng.integers(1, 6))
     m = int(rng.integers(0, 6))
-    columns = tuple(VariableIndex(kind="f", column=j, quarter=0, index=j) for j in range(n))
+    columns = tuple(f"f[0,{j}]" for j in range(n))
     objective = tuple(float(v) for v in rng.integers(-5, 6, n))
 
     lower, upper = [], []
@@ -118,7 +119,6 @@ def random_lp(rng: np.random.Generator) -> StandardFormProblem:
         rows=tuple(rows),
         lower=tuple(lower),
         upper=tuple(upper),
-        binaries=(),
     )
 
 
@@ -212,7 +212,7 @@ def duplicate_capacity_rows(problem: StandardFormProblem) -> StandardFormProblem
 
 def permute_columns(problem: StandardFormProblem, rng: np.random.Generator) -> StandardFormProblem:
     """The model with its columns renumbered at random: the row terms
-    (re-sorted by column), the objective, the bounds and the binaries
+    (re-sorted by column), the names, the objective and the bounds
     follow their columns, so no reader may assume ``build``'s order."""
     old_at = rng.permutation(len(problem.columns)).tolist()  # new column -> old column
     new_at = {old: new for new, old in enumerate(old_at)}
@@ -220,10 +220,31 @@ def permute_columns(problem: StandardFormProblem, rng: np.random.Generator) -> S
         replace(row, coeffs=tuple(sorted((new_at[col], coeff) for col, coeff in row.coeffs))) for row in problem.rows
     )
     return StandardFormProblem(
-        columns=tuple(replace(problem.columns[old], column=new) for new, old in enumerate(old_at)),
+        columns=tuple(problem.columns[old] for old in old_at),
         objective=tuple(problem.objective[old] for old in old_at),
         rows=rows,
         lower=tuple(problem.lower[old] for old in old_at),
         upper=tuple(problem.upper[old] for old in old_at),
-        binaries=tuple(sorted(new_at[col] for col in problem.binaries)),
     )
+
+
+def rescale_coins(scenario: Scenario, config: MintConfig, factor: float) -> tuple[Scenario, MintConfig]:
+    """The data counted in a coin unit ``factor`` times smaller: every
+    coin count (demand, floors, opening and safety stock, the vault, the
+    striking breakpoints) times ``factor``, and what one unit of coins
+    loads (blanking rates, alloy weights) divided by it, so the blanking
+    and annealing loads, the bill and K stay the same."""
+    specs = tuple(
+        replace(spec, alloy_weight=spec.alloy_weight / factor, blanking_rate=spec.blanking_rate / factor)
+        for spec in scenario.coin_specs
+    )
+    rescaled = replace(
+        scenario,
+        coin_specs=specs,
+        demand=scenario.demand * factor,
+        operating_floor=scenario.operating_floor * factor,
+        vault_cap=scenario.vault_cap * factor,
+        safety_min=scenario.safety_min * factor,
+        initial_inventory=scenario.initial_inventory * factor,
+    )
+    return rescaled, replace(config, striking_breakpoints=tuple(b * factor for b in config.striking_breakpoints))

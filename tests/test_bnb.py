@@ -675,11 +675,11 @@ def every_binary_override_objective(problem):
     """The enumeration of ``exhaustive_objective`` with every binary in
     each LP's override, on a copy of the model that maximizes K and
     changes nothing else, and the bill summed over all the binaries."""
-    families: dict = {}
-    for col in problem.binaries:
-        var = problem.columns[col]
-        families.setdefault((var.kind, var.quarter), []).append(col)
-    options = [[None] + [col for col in sorted(families[key]) if problem.upper[col] > 0.0] for key in sorted(families)]
+    options = [
+        [None] + [col for col in problem.ladders[process, quarter] if problem.upper[col] > 0.0]
+        for process in ("striking", "blanking", "annealing")
+        for quarter in range(problem.horizon)
+    ]
     best_key, best_objective = None, math.nan
     k_col = problem.column_index("K")
     k_only = replace(problem, objective=tuple(-1.0 if col == k_col else 0.0 for col in range(len(problem.columns))))
@@ -916,13 +916,18 @@ def test_tree_search_agrees_with_highs():
     assert statuses == {"optimal", "infeasible"}
 
 
-def equivalence_cases() -> list:
-    """``(model, node_cap)`` for 20 3-quarter draws and for 10 5-quarter,
-    7-denomination draws past the enumeration's reach."""
+def equivalence_draws() -> list:
+    """``(scenario, config, node_cap)`` for 20 3-quarter draws and for 10
+    5-quarter, 7-denomination draws past the enumeration's reach."""
     rng = np.random.default_rng(12)
-    cases = [(build(*random_instance(rng, horizon=3, n_denoms=3)), bnb.DEFAULT_NODE_CAP) for _ in range(20)]
+    draws = [(*random_instance(rng, horizon=3, n_denoms=3), bnb.DEFAULT_NODE_CAP) for _ in range(20)]
     rng = np.random.default_rng(2026)
-    return cases + [(build(*random_instance(rng, horizon=5, n_denoms=7)), 400) for _ in range(10)]
+    return draws + [(*random_instance(rng, horizon=5, n_denoms=7), 400) for _ in range(10)]
+
+
+def equivalence_cases() -> list:
+    """``(model, node_cap)`` for each of ``equivalence_draws``."""
+    return [(build(scenario, config), node_cap) for scenario, config, node_cap in equivalence_draws()]
 
 
 def test_equivalent_models_solve_to_the_same_answer():
@@ -949,6 +954,25 @@ def test_equivalent_models_solve_to_the_same_answer():
             if want.status == "optimal":
                 assert got.cost == want.cost, (i, name)
                 assert got.k == pytest.approx(want.k, rel=1e-7), (i, name)
+    assert statuses == {"optimal", "infeasible"}
+
+
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+def test_a_new_coin_unit_gives_the_same_answer(factor):
+    """Metamorphic relation on the data: counting coins in a unit
+    ``factor`` times smaller, and their loads per unit ``factor`` times
+    lighter, leaves the status, the bill and K of every draw unchanged."""
+    from oracles import rescale_coins
+
+    statuses = set()
+    for i, (scenario, config, node_cap) in enumerate(equivalence_draws()):
+        want = solve_mip(build(scenario, config), node_cap=node_cap)
+        got = solve_mip(build(*rescale_coins(scenario, config, factor)), node_cap=node_cap)
+        statuses.add(want.status)
+        assert got.status == want.status, i
+        if want.status == "optimal":
+            assert got.cost == pytest.approx(want.cost, rel=1e-7), i
+            assert got.k == pytest.approx(want.k, rel=1e-7), i
     assert statuses == {"optimal", "infeasible"}
 
 

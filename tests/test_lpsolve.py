@@ -18,7 +18,7 @@ from mintplan import (
     solve_lp,
 )
 from mintplan import lpsolve
-from mintplan.mip import Row, VariableIndex
+from mintplan.mip import Row
 
 from oracles import lp_oracle, random_lp
 
@@ -26,12 +26,11 @@ from oracles import lp_oracle, random_lp
 def small_lp(objective, rows, lower, upper) -> StandardFormProblem:
     n = len(objective)
     return StandardFormProblem(
-        columns=tuple(VariableIndex(kind="f", column=j, quarter=0, index=j) for j in range(n)),
+        columns=tuple(f"f[0,{j}]" for j in range(n)),
         objective=tuple(float(v) for v in objective),
         rows=tuple(rows),
         lower=tuple(float(v) for v in lower),
         upper=tuple(float(v) for v in upper),
-        binaries=(),
     )
 
 

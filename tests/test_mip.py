@@ -1,5 +1,6 @@
 """Model assembly: rows, columns, bounds, and the LP text format."""
 
+import re
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -76,7 +77,7 @@ def test_single_quarter_row_and_column_inventory():
         "vault_capacity[0]",
         "operating_floor[0,0]",
     ]
-    assert problem.names == ("f[0,0]", "E[0,0]", "c[0,1]", "h[0]", "a[0,1]", "K")
+    assert problem.columns == ("f[0,0]", "E[0,0]", "c[0,1]", "h[0]", "a[0,1]", "K")
 
 
 def test_single_quarter_coefficients_by_hand():
@@ -189,6 +190,15 @@ def test_check_solution_flags_each_violation_kind():
     fractional = np.array([75.0, 45.0, 0.0, 0.0, 0.5, 0.0])
     assert "binary[a[0,1]]" in check_solution(problem, fractional)
 
+    # every comparison with a NaN is false, so each test must fail on one
+    assert check_solution(problem, np.full(6, np.nan)) == [
+        "bound[f[0,0]]", "bound[E[0,0]]", "bound[c[0,1]]", "bound[h[0]]", "bound[a[0,1]]", "bound[K]",
+        "binary[c[0,1]]", "binary[h[0]]", "binary[a[0,1]]",
+    ]
+    not_a_number = good.copy()
+    not_a_number[3] = np.nan
+    assert check_solution(problem, not_a_number) == ["bound[h[0]]", "binary[h[0]]"]
+
     with pytest.raises(ValueError):
         check_solution(problem, [1.0, 2.0])
 
@@ -259,6 +269,27 @@ def test_models_of_one_layout_share_one_table():
 
     bare = random_lp(np.random.default_rng(0))
     assert bare.column_index("f", 0, 0) == 0 and bare.plan_columns is None and not bare.ladders
+    assert model.binaries == tuple(range(8, 18)) and bare.binaries == ()
+
+
+def test_a_model_reads_its_layout_off_its_column_names():
+    """The names are the layout: renaming columns moves the plan and the
+    binaries with them, and a name that is no column, a repeated name or
+    a ladder that skips a level is refused when the model is made."""
+    model = build(*tiny())
+    names = list(model.columns)
+    names[0], names[8] = names[8], names[0]  # f[0,0] and c[0,1] trade places
+    swapped = replace(model, columns=tuple(names))
+    assert swapped.plan_columns[0].tolist() == [[8, 1], [2, 3]]
+    assert swapped.binaries == (0,) + tuple(range(9, 18))
+    for bad, match in (
+        (model.columns[:-1] + ("Q",), "unknown column name 'Q'"),
+        (model.columns[:-1] + ("f[0,01]",), "unknown column name"),
+        (("f[0,1]",) + model.columns[1:], "column 'f\\[0,1\\]' appears twice"),
+        (tuple(name.replace("a[0,2]", "a[0,3]") for name in model.columns), "levels of quarter 0 must run 1 to 2"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            replace(model, columns=bad)
 
 
 def tiny_with_a_disrupted_quarter():
@@ -521,9 +552,25 @@ def test_parse_lp_text_rejects_malformed_documents():
         tiny_text.replace("4.0 c[0,1]", "4.0 c[0,1] + 9.0 c[0,1]", 1),
         tiny_text.replace("2.5 f[0,0]", "2.5 f[0,0] + 1.0 f[0,0]", 1),
         tiny_text.replace("a[0,2]", "a[0,3]"),  # a ladder that skips level 2
+        # the solver reads K and the whole plan: a document without K, or
+        # without one stock of the grid, would crash it
+        re.sub(r" \+ -[0-9.]+ K", "", tiny_text.replace("  0.0 <= K <= 2.0\n", "")),
+        "".join(line for line in tiny_text.splitlines(keepends=True) if "E[1,1]" not in line),
+        # a level past the plan's last quarter has no quarter to be read back into
+        tiny_text.replace("  0.0 <= K", "  0.0 <= h[2] <= 1.0\n  0.0 <= K").replace("  h[1]\n", "  h[1]\n  h[2]\n"),
     ):
         with pytest.raises(LpFormatError):
             parse_lp_text(bad)
+
+
+def test_parse_lp_text_drops_zero_terms():
+    """A row never stores a zero, and a zero term still counts when the
+    sum names its column twice."""
+    text = export_lp_text(build(*tiny()))
+    parsed = parse_lp_text(text.replace("2.5 f[0,0]", "0.0 f[0,0]", 1))
+    assert parsed.row_by_label["annealing_capacity[0]"].coeffs == ((1, 5.0), (12, -100.0))
+    with pytest.raises(LpFormatError, match="appears twice"):
+        parse_lp_text(text.replace("2.5 f[0,0]", "0.0 f[0,0] + 1.0 f[0,0]", 1))
 
 
 def older_text(text: str, header: str) -> str:
