@@ -12,12 +12,14 @@ is boxed: it has an optimum or is infeasible, and an infeasible node
 is pruned.
 
 The model's objective is the extra-shift bill, and the bill comes
-before K. This module alone rewards K: a K pass pins the bill with one
-extra equality row and maximizes K. When no binary has a negative cost,
-the K pass at a bill of 0 runs first: most replans need no paid shift,
-and for them that one search is the whole solve. Otherwise, or when it
-is infeasible, the bill pass minimizes the model's objective and the K
-pass runs at its bill.
+before K. This module alone rewards K, in K passes that one builder
+makes: a copy of the model that maximizes K, with given levels switched
+off by an upper bound of 0 and, at a given bill, one equality row
+pinning the bill there. When no binary has a negative cost, the K pass
+at a bill of 0 runs first, with every priced level switched off: most
+replans need no paid shift, and for them that one search is the whole
+solve. Otherwise, or when it is infeasible, the bill pass minimizes the
+model's objective and the K pass runs with its bill pinned by the row.
 
 The root node solves the model under its own bounds, so a binary fixed
 before the search is fixed in the model: the integerizer escalates a
@@ -151,24 +153,20 @@ def _bill(problem: StandardFormProblem, x: np.ndarray) -> float:
     return float(sum(problem.objective[col] * round(x[col]) for col in problem.binaries))
 
 
-def _k_reward(problem: StandardFormProblem) -> tuple[float, ...]:
-    """An objective that maximizes K and nothing else."""
+def _k_pass(problem: StandardFormProblem, off=(), bill: float | None = None) -> StandardFormProblem:
+    """A K pass over ``problem``: maximize K and nothing else, with the
+    levels ``off`` switched off by an upper bound of 0 and, when ``bill``
+    is given, the extra-shift bill pinned there by one equality row."""
+    upper = list(problem.upper)
+    for col in off:
+        upper[col] = 0.0
+    rows = problem.rows
+    if bill is not None:
+        coeffs = tuple((col, problem.objective[col]) for col in problem.binaries if problem.objective[col] != 0.0)
+        rows += (Row(label="cost_lock[0]", coeffs=coeffs, relation="=", rhs=bill),)
     k_col = problem.column_index("K")
-    return tuple(-1.0 if col == k_col else 0.0 for col in range(len(problem.columns)))
-
-
-def _cost_locked(problem: StandardFormProblem, bill: float) -> StandardFormProblem:
-    """The K pass: maximize K with the extra-shift bill pinned at
-    ``bill`` by one equality row."""
-    lock = Row(
-        label="cost_lock[0]",
-        coeffs=tuple(
-            (col, problem.objective[col]) for col in problem.binaries if problem.objective[col] != 0.0
-        ),
-        relation="=",
-        rhs=bill,
-    )
-    return replace(problem, objective=_k_reward(problem), rows=problem.rows + (lock,))
+    objective = tuple(-1.0 if col == k_col else 0.0 for col in range(len(problem.columns)))
+    return replace(problem, objective=objective, upper=tuple(upper), rows=rows)
 
 
 def solve_mip(
@@ -186,12 +184,14 @@ def solve_mip(
     The model's objective is the bill: it must price level binaries and
     nothing else (ValueError otherwise), and the solver adds K's reward
     itself. The optimum has the least bill, then the largest K. When no
-    binary costs less than 0, the K pass at a bill of 0 runs first: a
-    plan found there is the optimum, since no plan costs less.
-    Otherwise, or when that tree is infeasible, the bill pass minimizes
-    the model's objective and the K pass runs at its bill. All searches
-    draw on one budget of ``node_cap`` LPs, an integer >= 0 (ValueError
-    otherwise).
+    binary costs less than 0, the K pass at a bill of 0 runs first, with
+    every priced level switched off by an upper bound of 0 (one the model
+    switches on is then crossed, so that pass is infeasible with no
+    simplex run): a plan found there is the optimum, since none costs
+    less. Otherwise, or when that tree is infeasible, the bill pass
+    minimizes the model's objective and the K pass runs with its bill
+    pinned by an equality row. All searches draw on one budget of
+    ``node_cap`` LPs, an integer >= 0 (ValueError otherwise).
     """
     _check_node_cap(node_cap)
     levels = set(problem.binaries)
@@ -199,13 +199,14 @@ def solve_mip(
         raise ValueError("the model's objective is the bill of its level binaries; the solver adds K's reward itself")
     budget = [node_cap]
     if all(problem.objective[col] >= 0.0 for col in problem.binaries):
-        x = _branch_and_bound(_cost_locked(problem, 0.0), node_budget=budget)
+        priced = [col for col in problem.binaries if problem.objective[col] != 0.0]
+        x = _branch_and_bound(_k_pass(problem, off=priced), node_budget=budget)
         if x is not None:
             return _extract_solution(problem, x)
     x1 = _branch_and_bound(problem, node_budget=budget)
     if x1 is None:
         return Solution(status="infeasible", objective=math.nan, cost=math.nan, k=math.nan)
-    x2 = _branch_and_bound(_cost_locked(problem, _bill(problem, x1)), node_budget=budget)
+    x2 = _branch_and_bound(_k_pass(problem, bill=_bill(problem, x1)), node_budget=budget)
     if x2 is None:  # the bill pass's point satisfies the lock, so this cannot happen
         raise MintPlanError("cost-locked second pass lost feasibility")
     return _extract_solution(problem, x2)
@@ -596,24 +597,23 @@ def exhaustive_objective(problem: StandardFormProblem) -> tuple[str, float]:
     quarter are skipped: the model's own choice rows make their LPs
     infeasible, so they can never carry the optimum. Levels whose upper
     bound is 0 (a ``forbid_extra_*`` restriction) are never switched on.
-    Every LP solves one copy of the model with each level binary fixed
-    at 0, and a bounds override fixes only the levels its assignment
-    switches on at 1; the bill sums their costs in column order. Every
-    LP runs the dual simplex: the first from that copy's slack basis
-    (``slack_start``), each later one from the last result that carries
-    a dual-feasible basis, whether optimal or proved infeasible, since
-    neighbouring assignments differ in a few bounds. A failed warm start
-    falls back to a cold solve.
+    Every LP solves one K pass of the model with every level's upper
+    bound at 0 and its lower bound kept, so a level the model switches
+    on stays on: an assignment leaving it off is crossed, and infeasible
+    with no simplex run. A bounds override fixes only the levels its
+    assignment switches on at 1; the bill sums their costs in column
+    order. Every LP runs the dual simplex: the first from that pass's
+    slack basis (``slack_start``), each later one from the last result
+    that carries a dual-feasible basis, whether optimal or proved
+    infeasible, since neighbouring assignments differ in a few bounds. A
+    failed warm start falls back to a cold solve.
     Exponential in the horizon; meant for validating the tree search on
     tiny instances.
     """
     options = [  # per ladder: switch no level on, or exactly one the model's bounds allow
         [None] + [col for col in ladder if problem.upper[col] > 0.0] for ladder in _ladders_in_search_order(problem)
     ]
-    lower, upper = list(problem.lower), list(problem.upper)
-    for col in problem.binaries:
-        lower[col] = upper[col] = 0.0
-    off = replace(problem, objective=_k_reward(problem), lower=tuple(lower), upper=tuple(upper))
+    off = _k_pass(problem, off=problem.binaries)
 
     best_key = None
     best_objective = math.nan

@@ -125,6 +125,28 @@ def fix(problem, col, value):
     return replace(problem, lower=tuple(lower), upper=tuple(upper))
 
 
+def test_enumeration_keeps_a_level_the_model_switches_on():
+    """A level whose lower bound is 1, as an escalation leaves it, stays
+    on in every assignment the enumeration solves, so it agrees with the
+    tree search. It once zeroed every level's lower bound: draw 0 of
+    ``default_rng(3)`` with ``h[0]`` forced on solves to 12.8357, and the
+    enumeration answered -2.0 with the annealing shift left off. One
+    level is forced per draw, cycling through processes and quarters."""
+    rng = np.random.default_rng(3)
+    statuses = set()
+    for i in range(60):
+        problem = build(*random_instance(rng))
+        ladder = problem.ladders[("striking", "blanking", "annealing")[i % 3], (i // 3) % problem.horizon]
+        forced = fix(problem, ladder[(i // 6) % len(ladder)], 1.0)
+        want_status, want_objective = exhaustive_objective(forced)
+        got = solve_mip(forced)
+        assert got.status == want_status, i
+        if want_status == "optimal":
+            assert got.objective == pytest.approx(want_objective, abs=1e-6), i
+        statuses.add(want_status)
+    assert statuses == {"optimal", "infeasible"}
+
+
 def test_a_fix_on_a_forbidden_level_is_infeasible():
     scenario, config = load_fixture("tiny.json")
     problem = restrict(build(scenario, config), (InjectedConstraint("forbid_extra_striking", 0),))
@@ -709,7 +731,8 @@ def test_enumeration_answers_match_an_override_of_every_binary():
     with ``forbid_extra_*`` restrictions, and on draws whose level costs
     are rebates of mixed magnitude. There the optimum switches several
     levels on, and the bill, summed in another order, changes the
-    answer's last bits on one draw."""
+    answer's last bits on one draw. No draw switches a level on through
+    its bounds: the override of every binary would switch it off."""
     problems = list(warm_path_problems().values())
     rng = np.random.default_rng(11)
     kinds = ("forbid_extra_striking", "forbid_extra_blanking", "forbid_extra_annealing")
@@ -805,6 +828,31 @@ def test_zero_bill_attempt_returns_the_two_pass_answer():
         assert same_answer(got, two_pass_reference(escalated)), paid
 
 
+def test_a_level_that_costs_nothing_stays_free_at_a_zero_bill():
+    """The zero-bill K pass switches off the levels that cost something,
+    not every level: with the first striking level free, ``solve_mip``
+    returns the two passes' answer, and on some draws that answer takes
+    the free level for a K that the plans leaving it off cannot reach."""
+    rng = np.random.default_rng(12)
+    raised = 0
+    for i in range(40):
+        scenario, config = random_instance(rng)
+        config = replace(config, striking_costs=(0.0,) + config.striking_costs[1:])
+        problem = build(scenario, config, k_max=50.0)
+        got, want = solve_mip(problem), two_pass_reference(problem)
+        assert got.status == want.status, i
+        if got.status != "optimal":
+            continue
+        assert (got.cost, got.shifts) == (want.cost, want.shifts), i
+        assert got.k == pytest.approx(want.k, abs=1e-9), i
+        free_off = problem
+        for quarter in range(problem.horizon):
+            free_off = fix(free_off, problem.ladders["striking", quarter][0], 0.0)
+        without = solve_mip(free_off)
+        raised += got.cost == without.cost == 0.0 and got.k > without.k + 1e-6
+    assert raised >= 4
+
+
 def test_a_zero_bill_solve_is_one_search():
     """The slack fixture needs no paid shift: its whole solve is the
     zero-bill K pass, one LP where the two passes take two. The tiny
@@ -829,12 +877,12 @@ def test_a_negative_binary_cost_skips_the_zero_bill_attempt(monkeypatch):
     search = bnb._branch_and_bound
 
     def spy(p, **kwargs):
-        searched.append(tuple(row.label for row in p.rows if row.label.startswith("cost_lock")))
+        searched.append(p.objective == problem.objective)
         return search(p, **kwargs)
 
     monkeypatch.setattr(bnb, "_branch_and_bound", spy)
     got = solve_mip(problem)
-    assert searched[0] == ()  # the cost pass, not a locked search
+    assert searched == [True, False]  # the cost pass, then the K pass at its bill
     assert got.status == "optimal" and got.cost == -1.0
     status, objective = exhaustive_objective(problem)
     assert status == "optimal"
