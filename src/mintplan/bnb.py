@@ -587,53 +587,51 @@ def integerize(
 # ---------------------------------------------------------------------------
 
 def exhaustive_objective(problem: StandardFormProblem) -> tuple[str, float]:
-    """Independent optimum by brute force: fix every admissible 0/1
-    assignment of the shift binaries, solve the remaining LP, and keep
-    the feasible candidate with the least bill (to 9 decimals), then the
-    largest K. Its LPs maximize K alone, and the bill is priced from
-    the model's binaries.
+    """Independent optimum by brute force over the admissible 0/1
+    assignments of the shift binaries: the feasible one with the least
+    bill (to 9 decimals), then the largest K, then the first in product
+    order. Its LPs maximize K alone; the bill sums, in column order, the
+    costs of the levels an assignment switches on. The assignments are
+    solved in order of their rounded bill, product order breaking ties,
+    until the last one at the first feasible bill: so exactly those at
+    or below the answer's bill (all of them when none is feasible).
 
     Assignments switching two levels of the same ladder on in one
     quarter are skipped: the model's own choice rows make their LPs
-    infeasible, so they can never carry the optimum. Levels whose upper
-    bound is 0 (a ``forbid_extra_*`` restriction) are never switched on.
-    Every LP solves one K pass of the model with every level's upper
-    bound at 0 and its lower bound kept, so a level the model switches
-    on stays on: an assignment leaving it off is crossed, and infeasible
-    with no simplex run. A bounds override fixes only the levels its
-    assignment switches on at 1; the bill sums their costs in column
-    order. Every LP runs the dual simplex: the first from that pass's
-    slack basis (``slack_start``), each later one from the last result
-    that carries a dual-feasible basis, whether optimal or proved
-    infeasible, since neighbouring assignments differ in a few bounds. A
-    failed warm start falls back to a cold solve.
-    Exponential in the horizon; meant for validating the tree search on
-    tiny instances.
+    infeasible. Levels whose upper bound is 0 (a ``forbid_extra_*``
+    restriction) are never switched on. Every LP solves one K pass of
+    the model with every level's upper bound at 0 and its lower bound
+    kept, so a level the model switches on stays on: an assignment
+    leaving it off is crossed, and infeasible with no simplex run. A
+    bounds override fixes the levels its assignment switches on at 1.
+    The LPs run the dual simplex along one warm chain: the first from
+    that pass's slack basis (``slack_start``), each later one from the
+    last result that carries a dual-feasible basis, whether optimal or
+    proved infeasible, since any two assignments differ in a few bounds.
+    A failed warm start falls back to a cold solve. Exponential in the
+    horizon; meant for validating the tree search on tiny instances.
     """
     options = [  # per ladder: switch no level on, or exactly one the model's bounds allow
         [None] + [col for col in ladder if problem.upper[col] > 0.0] for ladder in _ladders_in_search_order(problem)
     ]
+    assignments = (sorted(col for col in combo if col is not None) for combo in product(*options))
+    priced = [(float(sum(problem.objective[col] for col in levels)), levels) for levels in assignments]
+    priced.sort(key=lambda pair: round(pair[0], 9))  # stable: product order breaks ties
     off = _k_pass(problem, off=problem.binaries)
 
-    best_key = None
-    best_objective = math.nan
+    best_bill, best_k, best_objective = math.inf, -math.inf, math.nan
     last = slack_start(off)
-    for combo in product(*options):
-        levels = sorted(col for col in combo if col is not None)
+    for cost, levels in priced:
+        bill = round(cost, 9)
+        if bill > best_bill:
+            break
         res = solve_lp(off, bounds_override={col: (1.0, 1.0) for col in levels}, warm_start=last)
         if res.can_warm_start:
             last = res
-        if res.status != "optimal":
-            continue
-        cost = float(sum(problem.objective[col] for col in levels))
         k = -res.objective
-        key = (round(cost, 9), -k)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_objective = cost - k
-    if best_key is None:
-        return ("infeasible", math.nan)
-    return ("optimal", best_objective)
+        if res.status == "optimal" and k > best_k:  # at one bill, the first of equal K wins
+            best_bill, best_k, best_objective = bill, k, cost - k
+    return ("optimal", best_objective) if best_bill < math.inf else ("infeasible", math.nan)
 
 
 def random_instance(

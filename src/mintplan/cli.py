@@ -184,11 +184,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.trials == 0:
         print("warning: zero trials requested; nothing was checked", file=sys.stderr)
         return 0
-    n_binaries = args.horizon * (args.blanking_levels + args.striking_levels + 1)
-    if 2 ** n_binaries > 4096:
+    # per quarter: no blanking level or one, no striking level or one, annealing off or on
+    assignments = ((args.blanking_levels + 1) * (args.striking_levels + 1) * 2) ** args.horizon
+    if assignments > 4096:
         print(
-            f"instance too large for enumeration: 2^{n_binaries} shift assignments "
-            "(keep horizon * (levels + 1) small)",
+            f"instance too large for enumeration: {assignments:,} shift assignments, more than 4,096 "
+            "(keep horizon and levels small)",
             file=sys.stderr,
         )
         return USAGE_ERROR

@@ -28,7 +28,7 @@ row charges each order its per-coin load from ``model.coin_loads``
 level, picked by the level-choice row, raise the free base capacity by
 that level's own step (its breakpoint minus the one below). Inventory
 rows tie stocks to orders and demand; floor, vault, and terminal rows
-bound the stocks.
+bound the stocks. Equal rows of live built models are one object.
 ``restrict`` adds first-quarter restrictions as rows and bounds, and
 ``StandardFormProblem.injected`` reads them back.
 ``level_capacity`` reads what a capacity row allows at a level.
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -94,18 +95,15 @@ _NUMBER = "(0|[1-9][0-9]*)"
 _NAME_RE = re.compile(rf"([fEca])\[{_NUMBER},{_NUMBER}\]|h\[{_NUMBER}\]|K")
 
 
-@lru_cache(maxsize=8192)
-def _canonical(value):
-    """The first-seen copy of an immutable value that recurs unchanged in
-    every model ``build`` makes of one shape (row labels, all-unit
-    coefficient tuples), so that those models share one copy. That only
-    matters to a caller keeping many models alive, as ``perfbench/run.py``
-    keeps every pass's outputs."""
-    return value
+class _WeakReferable:
+    """A ``__weakref__`` slot for a slotted dataclass, which Python 3.10's
+    ``dataclass`` cannot add itself."""
+
+    __slots__ = ("__weakref__",)
 
 
 @dataclass(frozen=True, slots=True)
-class Row:
+class Row(_WeakReferable):
     """One linear constraint: ``sum(coeff * x[col]) relation rhs``.
 
     ``coeffs`` is sparse, sorted by column, and never stores zeros.
@@ -131,6 +129,11 @@ class Row:
         if self.relation == ">=":
             return max(0.0, self.rhs - lhs)
         return abs(lhs - self.rhs)
+
+
+#: Every live row ``build`` made, so that equal rows are one object, freed
+#: with the last model that holds it.
+_ROWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -262,9 +265,8 @@ class _Layout(NamedTuple):
 @lru_cache(maxsize=64)
 def _shared_layout(columns: tuple[str, ...]) -> tuple[tuple[str, ...], _Layout]:
     """The first-seen copy of a column layout and its table, parsed from
-    the column names, which every model of that shape shares (see
-    ``_canonical``). ValueError when a name is no column or repeats, or
-    when a ladder skips a level."""
+    the column names, which every model of that shape shares. ValueError
+    when a name is no column or repeats, or when a ladder skips a level."""
     by_key: dict = {}
     ladders: dict = {}
     for col, name in enumerate(columns):
@@ -348,15 +350,13 @@ def build(
     columns.append("K")
     objective.append(0.0)
 
-    def terms(pairs: Iterable[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
-        kept = [(col, float(coeff)) for col, coeff in pairs if coeff != 0.0]
-        kept.sort(key=lambda p: p[0])
-        if all(coeff in (1.0, -1.0) for _, coeff in kept):
-            return _canonical(tuple(kept))
-        return tuple(kept)
-
-    def row(label: str, coeffs: tuple[tuple[int, float], ...], relation: str, rhs: float) -> Row:
-        return Row(label=_canonical(label), coeffs=coeffs, relation=relation, rhs=rhs)
+    def row(label: str, pairs: Iterable[tuple[int, float]], relation: str, rhs: float) -> Row:
+        coeffs = tuple(sorted(((col, float(coeff)) for col, coeff in pairs if coeff != 0.0), key=lambda p: p[0]))
+        key = (label, coeffs, relation, rhs, math.copysign(1.0, rhs) > 0.0)  # -0.0 == 0.0, but its text differs
+        shared = _ROWS.get(key)
+        if shared is None:
+            shared = _ROWS[key] = Row(label=label, coeffs=coeffs, relation=relation, rhs=rhs)
+        return shared
 
     rows: list[Row] = []
     # the row order sets the simplex's pivot path, which tests/golden/pivot_path.json pins
@@ -366,10 +366,8 @@ def build(
             rows.append(
                 row(
                     label=f"{process}_capacity[{t}]",
-                    coeffs=terms(
-                        [(f(t, d), load[process][d]) for d in range(D)]
-                        + [(col, -(b[j] - b[j - 1])) for j, col in enumerate(levels[process][t], 1)]
-                    ),
+                    pairs=[(f(t, d), load[process][d]) for d in range(D)]
+                    + [(col, -(b[j] - b[j - 1])) for j, col in enumerate(levels[process][t], 1)],
                     relation="<=",
                     rhs=b[0],
                 )
@@ -379,7 +377,7 @@ def build(
                 rows.append(
                     row(
                         label=f"{process}_level_choice[{t}]",
-                        coeffs=terms([(col, 1.0) for col in levels[process][t]]),
+                        pairs=[(col, 1.0) for col in levels[process][t]],
                         relation="<=",
                         rhs=1.0,
                     )
@@ -387,17 +385,17 @@ def build(
     for t in range(T):
         for d in range(D):
             if t == 0:
-                coeffs = terms([(e(0, d), 1.0), (f(0, d), -1.0)])
+                pairs = [(e(0, d), 1.0), (f(0, d), -1.0)]
                 rhs = float(s.initial_inventory[d] - s.demand[0, d])
             else:
-                coeffs = terms([(e(t, d), 1.0), (e(t - 1, d), -1.0), (f(t, d), -1.0)])
+                pairs = [(e(t, d), 1.0), (e(t - 1, d), -1.0), (f(t, d), -1.0)]
                 rhs = float(-s.demand[t, d])
-            rows.append(row(label=f"inventory_balance[{t},{d}]", coeffs=coeffs, relation="=", rhs=rhs))
+            rows.append(row(label=f"inventory_balance[{t},{d}]", pairs=pairs, relation="=", rhs=rhs))
     for d in range(D):
         rows.append(
             row(
                 label=f"terminal_stock[{d}]",
-                coeffs=terms([(e(T - 1, d), 1.0), (col_k, -float(s.safety_min[d]))]),
+                pairs=[(e(T - 1, d), 1.0), (col_k, -float(s.safety_min[d]))],
                 relation=">=",
                 rhs=0.0,
             )
@@ -406,7 +404,7 @@ def build(
         rows.append(
             row(
                 label=f"vault_capacity[{t}]",
-                coeffs=terms([(e(t, d), 1.0) for d in range(D)]),
+                pairs=[(e(t, d), 1.0) for d in range(D)],
                 relation="<=",
                 rhs=float(s.vault_cap),
             )
@@ -416,7 +414,7 @@ def build(
             rows.append(
                 row(
                     label=f"operating_floor[{t},{d}]",
-                    coeffs=terms([(e(t, d), 1.0)]),
+                    pairs=[(e(t, d), 1.0)],
                     relation=">=",
                     rhs=float(s.operating_floor[t, d]),
                 )

@@ -5,7 +5,10 @@ code. The LP oracle enumerates basic points geometrically; the random
 LP generator builds small dense problems straight from the dataclasses.
 These routines were written and frozen before the solvers were tuned
 against them. ``highs_lexicographic`` hands a model to HiGHS, through
-scipy, for instances too large to enumerate. ``permute_rows``,
+scipy, for instances too large to enumerate.
+``every_binary_override_objective`` is the one that runs the library's
+simplex: it solves every assignment of the enumeration, in product
+order, with every binary in its override. ``permute_rows``,
 ``floors_as_bounds``, ``scale_rows``, ``duplicate_capacity_rows`` and
 ``permute_columns`` rewrite a model into an equivalent one, which must
 solve to the same answer at any size; ``rescale_coins`` does the same to
@@ -20,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from mintplan import MintConfig, Scenario, StandardFormProblem
+from mintplan import MintConfig, Scenario, StandardFormProblem, lpsolve
 from mintplan.mip import Row
 from mintplan.model import PROCESSES
 
@@ -163,6 +166,39 @@ def highs_lexicographic(problem: StandardFormProblem) -> tuple[str, float, float
     second = solve(k_reward, [rows, LinearConstraint(bill[None, :], best - slack, best + slack)])
     assert second.status == 0, second.message
     return ("optimal", best, float(second.x[problem.column_index("K")]))
+
+
+def every_binary_override_objective(problem: StandardFormProblem) -> tuple[str, float]:
+    """The answer of ``bnb.exhaustive_objective`` from every admissible
+    assignment, solved in product order along one warm chain, each LP
+    with every binary in its override, on a copy of the model that
+    maximizes K and changes nothing else; the bill sums over all the
+    binaries."""
+    options = [
+        [None] + [col for col in problem.ladders[process, quarter] if problem.upper[col] > 0.0]
+        for process in ("striking", "blanking", "annealing")
+        for quarter in range(problem.horizon)
+    ]
+    best_key, best_objective = None, math.nan
+    k_col = problem.column_index("K")
+    k_only = replace(problem, objective=tuple(-1.0 if col == k_col else 0.0 for col in range(len(problem.columns))))
+    last = lpsolve.slack_start(k_only)
+    for combo in itertools.product(*options):
+        override = {col: (0.0, 0.0) for col in problem.binaries}
+        for col in combo:
+            if col is not None:
+                override[col] = (1.0, 1.0)
+        res = lpsolve.solve_lp(k_only, bounds_override=override, warm_start=last)
+        if res.can_warm_start:
+            last = res
+        if res.status != "optimal":
+            continue
+        cost = float(sum(problem.objective[col] * hi for col, (_, hi) in override.items()))
+        k = -res.objective
+        key = (round(cost, 9), -k)
+        if best_key is None or key < best_key:
+            best_key, best_objective = key, cost - k
+    return ("infeasible", math.nan) if best_key is None else ("optimal", best_objective)
 
 
 def permute_rows(problem: StandardFormProblem, rng: np.random.Generator) -> StandardFormProblem:

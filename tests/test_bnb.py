@@ -35,6 +35,7 @@ from mintplan import (
 )
 from mintplan import bnb, lpsolve
 from mintplan.mip import plan_of, shifts_of
+from oracles import every_binary_override_objective
 
 
 def load_fixture(name: str):
@@ -552,10 +553,13 @@ def test_infeasible_scenarios_report_cleanly():
 
 
 def test_warm_started_enumeration_matches_cold_solves(monkeypatch):
-    """Every LP of the enumeration, reoptimized from the last optimal
-    one, has the status and objective a cold solve gives it."""
+    """Every LP of the enumeration, reoptimized from the last result that
+    can warm start, has the status and objective a cold solve gives it:
+    along the bill-order chain, which stops at each draw's optimal bill,
+    and along the full product-order chain of every assignment."""
     rng = np.random.default_rng(61)
-    real = bnb.solve_lp
+    problems = [build(*random_instance(rng)) for _ in range(20)]
+    real = lpsolve.solve_lp
     compared = warm = 0
 
     def both(problem, *, bounds_override, warm_start):
@@ -570,9 +574,13 @@ def test_warm_started_enumeration_matches_cold_solves(monkeypatch):
         return res
 
     monkeypatch.setattr(bnb, "solve_lp", both)
-    for _ in range(20):
-        exhaustive_objective(build(*random_instance(rng)))
-    assert compared == 20 * 324
+    monkeypatch.setattr(lpsolve, "solve_lp", both)
+    for problem in problems:
+        exhaustive_objective(problem)
+    assert compared == 1071
+    for problem in problems:
+        every_binary_override_objective(problem)
+    assert compared == 1071 + 20 * 324
     assert warm > compared // 2
 
 
@@ -618,20 +626,19 @@ def pivot_path_problems() -> dict:
 
 def lp_path(solve, problem) -> list:
     """Status, iteration count and final basis of every LP that
-    ``solve(problem)`` solves through ``bnb``."""
+    ``solve(problem)`` solves through ``bnb`` or ``lpsolve``."""
     calls = []
-    real = bnb.solve_lp
+    real = lpsolve.solve_lp
 
     def spy(*args, **kwargs):
         res = real(*args, **kwargs)
         calls.append([res.status, res.iterations, list(res.basis)])
         return res
 
-    bnb.solve_lp = spy
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bnb, "solve_lp", spy)
+        patch.setattr(lpsolve, "solve_lp", spy)
         solve(problem)
-    finally:
-        bnb.solve_lp = real
     return calls
 
 
@@ -640,11 +647,20 @@ def record_pivot_paths() -> dict:
     return {name: lp_path(solve_mip, problem) for name, problem in pivot_path_problems().items()}
 
 
+def pivot_paths_text(paths: dict) -> str:
+    """``pivot_path.json``'s layout: one LP per line."""
+    entries = (
+        f"  {json.dumps(name)}: [\n" + ",\n".join(f"    {json.dumps(lp)}" for lp in lps) + "\n  ]"
+        for name, lps in paths.items()
+    )
+    return "{\n" + ",\n".join(entries) + "\n}\n"
+
+
 def test_tree_search_keeps_its_cold_pivot_path():
     """Branch and bound solves every node cold with Bland pricing, so its
     pivot path is pinned: the golden file was recorded from the solver
     before warm starts existed. To re-record after a deliberate change:
-    ``json.dump(record_pivot_paths(), open(PIVOT_PATH, "w"))``."""
+    ``PIVOT_PATH.write_text(pivot_paths_text(record_pivot_paths()))``."""
     with PIVOT_PATH.open() as fh:
         want = json.load(fh)
     got = record_pivot_paths()
@@ -668,23 +684,36 @@ def warm_path_problems() -> dict:
 
 
 def record_warm_paths() -> dict:
-    """Per problem of ``warm_path_problems``: the count of enumeration
-    LPs, their total iterations and a SHA-256 of every LP's status,
-    iteration count and basis, in order. No floats go in, so the digest
-    holds across BLAS builds."""
+    """Per problem of ``warm_path_problems``, for the bill-order
+    enumeration of ``exhaustive_objective`` and for the full product-order
+    chain of ``every_binary_override_objective``: the count of LPs, their
+    total iterations and a SHA-256 of every LP's status, iteration count
+    and basis, in order. No floats go in, so the digest holds across BLAS
+    builds."""
     paths = {}
     for name, problem in warm_path_problems().items():
-        calls = lp_path(exhaustive_objective, problem)
-        digest = hashlib.sha256(json.dumps(calls, separators=(",", ":")).encode()).hexdigest()
-        paths[name] = [len(calls), sum(call[1] for call in calls), digest]
+        paths[name] = {}
+        for solve in (exhaustive_objective, every_binary_override_objective):
+            calls = lp_path(solve, problem)
+            digest = hashlib.sha256(json.dumps(calls, separators=(",", ":")).encode()).hexdigest()
+            paths[name][solve.__name__] = [len(calls), sum(call[1] for call in calls), digest]
     return paths
+
+
+def warm_paths_text(paths: dict) -> str:
+    """``warm_path.json``'s layout: one chain per line."""
+    entries = (
+        f" {json.dumps(name)}: {{\n" + ",\n".join(f"  {json.dumps(solve)}: {json.dumps(path)}" for solve, path in chains.items()) + "\n }"
+        for name, chains in paths.items()
+    )
+    return "{\n" + ",\n".join(entries) + "\n}\n"
 
 
 def test_enumeration_keeps_its_warm_pivot_path():
     """The enumeration's warm starts are pinned as the tree search's cold
     path is: a faster restart must reach every LP's answer by the same
     pivots. To re-record after a deliberate change:
-    ``json.dump(record_warm_paths(), open(WARM_PATH, "w"), indent=1)``."""
+    ``WARM_PATH.write_text(warm_paths_text(record_warm_paths()))``."""
     with WARM_PATH.open() as fh:
         want = json.load(fh)
     got = record_warm_paths()
@@ -693,35 +722,10 @@ def test_enumeration_keeps_its_warm_pivot_path():
         assert got[name] == want[name], name
 
 
-def every_binary_override_objective(problem):
-    """The enumeration of ``exhaustive_objective`` with every binary in
-    each LP's override, on a copy of the model that maximizes K and
-    changes nothing else, and the bill summed over all the binaries."""
-    options = [
-        [None] + [col for col in problem.ladders[process, quarter] if problem.upper[col] > 0.0]
-        for process in ("striking", "blanking", "annealing")
-        for quarter in range(problem.horizon)
-    ]
-    best_key, best_objective = None, math.nan
-    k_col = problem.column_index("K")
-    k_only = replace(problem, objective=tuple(-1.0 if col == k_col else 0.0 for col in range(len(problem.columns))))
-    last = lpsolve.slack_start(k_only)
-    for combo in itertools.product(*options):
-        override = {col: (0.0, 0.0) for col in problem.binaries}
-        for col in combo:
-            if col is not None:
-                override[col] = (1.0, 1.0)
-        res = lpsolve.solve_lp(k_only, bounds_override=override, warm_start=last)
-        if res.can_warm_start:
-            last = res
-        if res.status != "optimal":
-            continue
-        cost = float(sum(problem.objective[col] * hi for col, (_, hi) in override.items()))
-        k = -res.objective
-        key = (round(cost, 9), -k)
-        if best_key is None or key < best_key:
-            best_key, best_objective = key, cost - k
-    return ("infeasible", math.nan) if best_key is None else ("optimal", best_objective)
+@pytest.mark.parametrize("path, text", [(PIVOT_PATH, pivot_paths_text), (WARM_PATH, warm_paths_text)])
+def test_each_golden_writer_gives_back_its_file(path, text):
+    committed = path.read_bytes()
+    assert text(json.loads(committed)).encode() == committed
 
 
 def test_enumeration_answers_match_an_override_of_every_binary():
@@ -752,6 +756,68 @@ def test_enumeration_answers_match_an_override_of_every_binary():
         assert (got[0], repr(got[1])) == (want[0], repr(want[1])), i
         statuses.add(got[0])
     assert statuses == {"optimal", "infeasible"}
+
+
+def tied_bill_problems() -> list:
+    """30 2x2 draws with every level cost rounded to a multiple of 4, so
+    that many assignments share a bill."""
+    rng = np.random.default_rng(44)
+    problems = []
+    for _ in range(30):
+        problem = build(*random_instance(rng))
+        objective = tuple(4.0 * round(cost / 4.0) for cost in problem.objective)
+        problems.append(replace(problem, objective=objective))
+    return problems
+
+
+def test_enumeration_answers_on_tied_bills_match_every_assignment_solved():
+    """Where many assignments share a bill, the enumeration still picks
+    the largest K at the least bill, then the first in product order, as
+    solving every assignment in product order does, to the last bit."""
+    statuses = set()
+    for i, problem in enumerate(tied_bill_problems()):
+        got, want = exhaustive_objective(problem), every_binary_override_objective(problem)
+        assert (got[0], repr(got[1])) == (want[0], repr(want[1])), i
+        statuses.add(got[0])
+    assert statuses == {"optimal", "infeasible"}
+
+
+def test_enumeration_solves_exactly_the_assignments_at_or_below_the_optimal_bill(monkeypatch):
+    """The enumeration solves assignments in order of their bill, rounded
+    to 9 decimals, product order breaking ties, and stops at the optimal
+    one: it solves every admissible assignment whose rounded bill is at
+    or below that of the tree search's optimum, and no other (all of them
+    when the draw is infeasible). A draw whose all-off assignment is
+    feasible, with every level cost above 0, solves that one LP."""
+    solved = []
+    real = bnb.solve_lp
+
+    def spy(problem, *, bounds_override, warm_start=None):
+        solved.append(tuple(sorted(bounds_override)))
+        return real(problem, bounds_override=bounds_override, warm_start=warm_start)
+
+    monkeypatch.setattr(bnb, "solve_lp", spy)
+    problems = warm_path_problems()
+    cheapest_first = problems["random[0]"]
+    problems = list(problems.values()) + tied_bill_problems()
+    for i, problem in enumerate(problems):
+        best = solve_mip(problem)
+        solved.clear()
+        exhaustive_objective(problem)
+        options = [
+            [()] + [(col,) for col in problem.ladders[process, quarter] if problem.upper[col] > 0.0]
+            for process in ("striking", "blanking", "annealing")
+            for quarter in range(problem.horizon)
+        ]
+        bill = {}  # in product order
+        for combo in itertools.product(*options):
+            levels = tuple(sorted(sum(combo, ())))
+            bill[levels] = round(float(sum(problem.objective[col] for col in levels)), 9)
+        ceiling = round(best.cost, 9) if best.status == "optimal" else math.inf
+        assert solved == sorted((levels for levels in bill if bill[levels] <= ceiling), key=bill.get), i
+        if problem is cheapest_first:
+            assert all(problem.objective[col] > 0.0 for col in problem.binaries)
+            assert solved == [()]
 
 
 def two_pass_reference(problem):

@@ -230,7 +230,15 @@ def test_oracle_rejects_negative_trials(capsys):
 
 def test_oracle_rejects_oversized_instances(capsys):
     assert main(["oracle", "--trials", "1", "--horizon", "5"]) == 2
-    assert "too large for enumeration" in capsys.readouterr().err
+    assert "too large for enumeration: 1,889,568 shift assignments" in capsys.readouterr().err
+
+
+def test_oracle_size_guard_counts_assignments_not_binaries(capsys):
+    """Two quarters of three blanking and three striking levels have 14
+    binaries but (4 * 4 * 2)^2 = 1,024 assignments, under the ceiling."""
+    args = ["oracle", "--trials", "1", "--horizon", "2", "--blanking-levels", "3", "--striking-levels", "3"]
+    assert main(args) == 0
+    assert "1 trials, 0 mismatches" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

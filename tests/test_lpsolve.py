@@ -13,14 +13,13 @@ from mintplan import (
     MintPlanError,
     StandardFormProblem,
     build,
-    exhaustive_objective,
     random_instance,
     solve_lp,
 )
 from mintplan import lpsolve
 from mintplan.mip import Row
 
-from oracles import lp_oracle, random_lp
+from oracles import every_binary_override_objective, lp_oracle, random_lp
 
 
 def small_lp(objective, rows, lower, upper) -> StandardFormProblem:
@@ -542,7 +541,8 @@ def test_a_warm_solve_without_a_pivot_runs_no_primal_pass(monkeypatch):
     so when the dual simplex ends feasible without a pivot no column can
     enter and the primal pass is skipped. Over an enumeration, the primal
     passes outside cold solves are exactly those of the warm solves the
-    dual pivoted to feasibility."""
+    dual pivoted to feasibility. The full product-order chain of the
+    enumeration gives both kinds of warm solve."""
     problem = build(*random_instance(np.random.default_rng(11), n_denoms=4))
     iterate, dual_iterate, solve_cold = lpsolve._Tableau.iterate, lpsolve._Tableau.dual_iterate, lpsolve._solve_cold
     warm_passes = pivoted = unpivoted = 0
@@ -572,7 +572,7 @@ def test_a_warm_solve_without_a_pivot_runs_no_primal_pass(monkeypatch):
     monkeypatch.setattr(lpsolve._Tableau, "iterate", counted_iterate)
     monkeypatch.setattr(lpsolve._Tableau, "dual_iterate", counted_dual)
     monkeypatch.setattr(lpsolve, "_solve_cold", counted_cold)
-    exhaustive_objective(problem)
+    every_binary_override_objective(problem)
     assert warm_passes == pivoted
     assert unpivoted > pivoted > 0
 

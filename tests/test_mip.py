@@ -1,6 +1,8 @@
 """Model assembly: rows, columns, bounds, and the LP text format."""
 
+import gc
 import re
+import weakref
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -270,6 +272,40 @@ def test_models_of_one_layout_share_one_table():
     bare = random_lp(np.random.default_rng(0))
     assert bare.column_index("f", 0, 0) == 0 and bare.plan_columns is None and not bare.ladders
     assert model.binaries == tuple(range(8, 18)) and bare.binaries == ()
+
+
+def test_two_builds_of_one_scenario_share_every_row():
+    a, b = build(*tiny()), build(*tiny())
+    assert a.rows == b.rows
+    assert all(x is y for x, y in zip(a.rows, b.rows))
+
+
+def test_rows_are_freed_with_the_last_model_that_holds_them():
+    """The row table holds its rows weakly: once every model of a draw
+    (of a layout no other test builds) is dropped, its rows are freed."""
+    draw = random_instance(np.random.default_rng(90210), horizon=3, n_denoms=3, n_blanking_levels=3)
+    models = [build(*draw) for _ in range(3)]
+    refs = [weakref.ref(row) for row in models[0].rows]
+    assert all(ref() is row for ref, row in zip(refs, models[2].rows))
+    del models
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_a_negative_zero_right_hand_side_is_never_shared_with_zero():
+    """``-0.0 == 0.0``, but the LP text prints them apart, so rows that
+    differ only there stay two objects and each model exports its own."""
+    scenario, config = tiny()
+    demand = np.array(scenario.demand, dtype=float)
+    texts, rows = [], []
+    for zero in (0.0, -0.0):
+        demand[1, 0] = zero  # inventory_balance[1,0]'s right-hand side is -demand
+        model = build(replace(scenario, demand=demand.copy()), config)
+        texts.append(export_lp_text(model))
+        rows.append(model.row_by_label["inventory_balance[1,0]"])
+    assert [repr(row.rhs) for row in rows] == ["-0.0", "0.0"]
+    assert rows[0] is not rows[1]
+    assert texts[0] != texts[1]
 
 
 def test_a_model_reads_its_layout_off_its_column_names():
